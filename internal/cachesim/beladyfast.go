@@ -7,12 +7,13 @@ import "math"
 // and a Go map of last-seen indices — three allocations that each scale
 // with the trace (an SpMM-256 stream is ~12 accesses per nonzero). The
 // streaming path instead records the trace in fixed-size chunks, computes
-// exact next-use information in one reverse pass with an open-addressed
-// index table, and stores it as 4-byte forward distances: almost every
-// next use is nearby, and everything at or beyond the end of the trace
-// lands in one "never again" bucket (distNever). The forward simulation
-// then replays the chunks with the reference victim-selection rule, so
-// the resulting Stats are bit-identical to the reference oracle's.
+// exact next-use information in one reverse pass with a dense per-line
+// index (line IDs are dense, see fast.go), and stores it as 4-byte
+// forward distances: almost every next use is nearby, and everything at
+// or beyond the end of the trace lands in one "never again" bucket
+// (distNever). The forward simulation then replays the chunks with the
+// reference victim-selection rule, so the resulting Stats are
+// bit-identical to the reference oracle's.
 
 // traceChunkBits sizes the recording chunks: 1<<16 line IDs (512 KB) per
 // chunk keeps allocation incremental without measurable per-access cost.
@@ -67,6 +68,23 @@ func (t *Trace) At(i int64) int64 {
 	return t.chunks[i>>traceChunkBits][i&(traceChunk-1)]
 }
 
+// lineSpan returns one past the largest recorded line ID (0 for an empty
+// trace), the length of a dense per-line index over the recording. It
+// panics on a line ID outside [0, 2^30), like FastLRU.Access.
+func (t *Trace) lineSpan() int64 {
+	span := int64(0)
+	for ci, chunk := range t.chunks {
+		if ci == len(t.chunks)-1 {
+			chunk = chunk[:(t.n-1)&(traceChunk-1)+1]
+		}
+		for _, line := range chunk {
+			checkLine(line)
+			span = max(span, line+1)
+		}
+	}
+	return span
+}
+
 // RecordTraceChunked drives the trace callback into a chunked recording
 // sized by sizeHint (expected access count, 0 when unknown).
 func RecordTraceChunked(trace func(emit func(line int64)), sizeHint int64) *Trace {
@@ -79,91 +97,6 @@ func RecordTraceChunked(trace func(emit func(line int64)), sizeHint int64) *Trac
 // 4-byte distance encoding. Distances are exact for every trace shorter
 // than 2^32-1 accesses; longer traces fall back to the reference oracle.
 const distNever = ^uint32(0)
-
-// idxTable is an open-addressed line → trace-index table used by the
-// reverse next-use pass; after the pass completes each key holds the index
-// of its line's first access, which the forward pass uses for
-// compulsory-miss classification without a separate seen-set.
-type idxTable struct {
-	keys []int64
-	vals []int64
-	used int
-	mask uint64
-}
-
-func newIdxTable(hint int64) idxTable {
-	const maxHint = 1 << 26
-	if hint > maxHint {
-		hint = maxHint
-	}
-	size := 1024
-	for int64(size)*3 < hint*4 {
-		size <<= 1
-	}
-	t := idxTable{
-		keys: make([]int64, size),
-		vals: make([]int64, size),
-		mask: uint64(size - 1),
-	}
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
-	}
-	return t
-}
-
-func (t *idxTable) hash(line int64) uint64 {
-	return (uint64(line) * 0x9e3779b97f4a7c15) >> 32 & t.mask
-}
-
-// find returns the bucket for line, its value, and whether it was present.
-//
-//repro:noalloc
-func (t *idxTable) find(line int64) (bucket int, val int64, found bool) {
-	i := t.hash(line)
-	for {
-		k := t.keys[i]
-		if k == line {
-			return int(i), t.vals[i], true
-		}
-		if k == lineEmpty {
-			return int(i), 0, false
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// insert adds a new key at find's bucket, growing first when needed.
-func (t *idxTable) insert(bucket int, line, val int64) {
-	if (t.used+1)*4 > len(t.keys)*3 {
-		t.grow()
-		bucket, _, _ = t.find(line)
-	}
-	t.keys[bucket] = line
-	t.vals[bucket] = val
-	t.used++
-}
-
-func (t *idxTable) grow() {
-	old := *t
-	size := len(old.keys) * 2
-	t.keys = make([]int64, size)
-	t.vals = make([]int64, size)
-	t.mask = uint64(size - 1)
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
-	}
-	for i, k := range old.keys {
-		if k == lineEmpty {
-			continue
-		}
-		j := t.hash(k)
-		for t.keys[j] != lineEmpty {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = k
-		t.vals[j] = old.vals[i]
-	}
-}
 
 // SimulateBeladyTrace runs a chunked recording through the streaming
 // Belady-optimal simulator. The Stats are bit-identical to the reference
@@ -185,10 +118,13 @@ func SimulateBeladyTrace(cfg Config, t *Trace) Stats {
 	}
 
 	// Reverse pass: exact forward distance to each access's next use,
-	// chunk by chunk, 4 bytes per access. The index table ends up holding
-	// every line's first-access index.
+	// chunk by chunk, 4 bytes per access. seen is a dense per-line index
+	// holding 1 + the latest trace index visited so far (0 = not yet
+	// seen); since the pass runs backwards it ends up holding every line's
+	// first-access index. The trace is shorter than 2^32-1 accesses, so
+	// 1 + index fits a uint32.
 	dist := make([][]uint32, len(t.chunks))
-	idx := newIdxTable(int64(len(t.chunks)) * traceChunk / 8)
+	seen := make([]uint32, t.lineSpan())
 	for ci := len(t.chunks) - 1; ci >= 0; ci-- {
 		chunk := t.chunks[ci]
 		used := traceChunk
@@ -199,18 +135,13 @@ func SimulateBeladyTrace(cfg Config, t *Trace) Stats {
 		base := int64(ci) << traceChunkBits
 		for i := used - 1; i >= 0; i-- {
 			line := chunk[i]
-			if line < 0 {
-				panic("cachesim: negative line ID")
-			}
 			abs := base + int64(i)
-			bucket, later, found := idx.find(line)
-			if found {
-				d[i] = uint32(later - abs)
-				idx.vals[bucket] = abs
+			if later := seen[line]; later != 0 {
+				d[i] = uint32(int64(later) - 1 - abs)
 			} else {
 				d[i] = distNever
-				idx.insert(bucket, line, abs)
 			}
+			seen[line] = uint32(abs + 1)
 		}
 		dist[ci] = d
 	}
@@ -268,7 +199,7 @@ func SimulateBeladyTrace(cfg Config, t *Trace) Stats {
 				continue
 			}
 			stats.Misses++
-			if _, first, _ := idx.find(line); first == abs {
+			if int64(seen[line]) == abs+1 {
 				stats.Compulsory++
 			}
 			if tags[victim] != -1 {

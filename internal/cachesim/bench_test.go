@@ -12,11 +12,12 @@ var benchCfg = Config{CapacityBytes: 32 << 10, LineBytes: 128, Ways: 16}
 
 // benchTrace mimics a kernel reference stream: streaming operand runs
 // interleaved with Zipf-distributed irregular accesses over a footprint
-// several times the cache.
+// several times the cache. It also returns the trace's line span (one
+// past the largest line ID), the fast path's index size hint.
 func benchTrace(n int) ([]int64, int64) {
 	r := gen.NewRNG(42)
 	trace := make([]int64, n)
-	distinct := make(map[int64]bool)
+	span := int64(0)
 	seq := int64(1 << 20)
 	for i := range trace {
 		switch i % 4 {
@@ -30,18 +31,18 @@ func benchTrace(n int) ([]int64, int64) {
 		case 3:
 			trace[i] = int64(2<<20) + int64(r.Intn(4096))
 		}
-		distinct[trace[i]] = true
+		span = max(span, trace[i]+1)
 	}
-	return trace, int64(len(distinct))
+	return trace, span
 }
 
 // BenchmarkLRUAccess compares the per-access cost of the two LRU
 // implementations on the same mixed stream. The fast path must report
 // 0 allocs/op; scripts/bench.sh records the ratio in BENCH_cachesim.json.
 func BenchmarkLRUAccess(b *testing.B) {
-	trace, distinct := benchTrace(1 << 20)
+	trace, span := benchTrace(1 << 20)
 	b.Run("fast", func(b *testing.B) {
-		c := NewFastLRU(benchCfg, distinct)
+		c := NewFastLRU(benchCfg, span)
 		b.ReportAllocs()
 		b.ResetTimer()
 		j := 0

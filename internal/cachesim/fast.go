@@ -1,13 +1,20 @@
 package cachesim
 
+import "fmt"
+
 // This file is the simulator's fast path: an arena-backed LRU whose
-// per-access work is one open-addressed hash probe plus an intrusive-list
-// splice, with zero heap allocations per access. It replaces the reference
-// implementation (cache.go) on every hot loop; the reference stays behind
-// Impl selection (impl.go) as the differential-testing oracle. Both
-// implementations produce bit-identical Stats for every trace: LRU
-// replacement with strictly increasing access clocks is deterministic, and
-// the fill order of invalid ways cannot affect any counted event.
+// per-access work is one load from a dense line index plus an
+// intrusive-list splice, with zero heap allocations per access. The index
+// is a flat []int32 addressed by line ID — trace.NewLayout lays operands
+// out back to back, so every line ID lies in [0, layout lines) — holding
+// the resident slot or a "never seen" / "evicted" sentinel; the first
+// sentinel is what classifies compulsory misses. It replaces the
+// reference implementation (cache.go) on every hot loop; the reference
+// stays behind Impl selection (impl.go) as the differential-testing
+// oracle. Both implementations produce bit-identical Stats for every
+// trace: LRU replacement with strictly increasing access clocks is
+// deterministic, and the fill order of invalid ways cannot affect any
+// counted event.
 
 // slot is one cache way in the arena. Slots live in a single flat slice
 // indexed by set*ways+way; prev/next link the slot into its set's recency
@@ -18,79 +25,38 @@ type slot struct {
 	prev int32 // neighbour toward MRU, -1 at the head
 	next int32 // neighbour toward LRU, -1 at the tail
 	set  int32 // owning set (precomputed: slots never change sets)
-	// bucket memoizes the resident line's lineTable bucket so eviction
-	// can invalidate the table entry without a second probe; growTable
-	// rewrites the memos when buckets move.
-	bucket int32
 	// reused records whether the resident line hit at least once since it
 	// was filled; cleared on every fill (Table III's dead-line metric).
 	reused bool
 }
 
-// lineTable is an open-addressed hash table keyed by cache-line ID. It
-// serves two roles at once: line → arena-slot residency lookup (value ≥ 0)
-// and the "ever seen" set used for compulsory-miss classification (value
-// lineEvicted after eviction). Entries are never deleted — an evicted
-// line's value flips to lineEvicted but its key stays — so linear probing
-// needs no tombstones and lookups stay one contiguous scan.
-type lineTable struct {
-	keys []int64 // line IDs; lineEmpty marks a free bucket
-	vals []int32 // arena slot index, or lineEvicted when not resident
-	used int     // occupied buckets
-	mask uint64  // len(keys)-1; len is always a power of two
-}
-
+// The dense line index holds one int32 per line ID: the resident slot
+// plus one, or one of two sentinels. lineNever is the zero value, so a
+// freshly allocated (or grown) index needs no fill loop.
 const (
-	lineEmpty   = int64(-1) // free bucket (line IDs are non-negative)
-	lineEvicted = int32(-1) // key known but line not resident
+	lineNever   = int32(0)  // line never accessed: its next miss is compulsory
+	lineEvicted = int32(-1) // line accessed before but not resident
 )
 
-// newLineTable sizes the table for about `hint` distinct lines (0 picks a
-// small default); capacity is the next power of two that keeps the load
-// factor under 3/4. Hints are clamped so a wild estimate cannot demand an
-// absurd up-front allocation — growth covers the remainder.
-func newLineTable(hint int64) lineTable {
-	const maxHint = 1 << 26 // 64M distinct lines ≈ 768 MB of buckets
-	if hint > maxHint {
-		hint = maxHint
-	}
-	size := 1024
-	for int64(size)*3 < hint*4 {
-		size <<= 1
-	}
-	t := lineTable{
-		keys: make([]int64, size),
-		vals: make([]int32, size),
-		mask: uint64(size - 1),
-	}
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
-	}
-	return t
-}
+// maxLines caps the dense index: line IDs must lie in [0, maxLines). The
+// cap is a 4 GiB index covering a 128 GiB address space at 128-byte
+// lines, far beyond any trace in this repository, so an ID past it means
+// a corrupt trace rather than a bigger workload.
+const maxLines = 1 << 30
 
-// hash spreads the line ID with a Fibonacci multiply; line IDs are dense
-// and sequential per operand array, which this mixes well.
-func (t *lineTable) hash(line int64) uint64 {
-	return (uint64(line) * 0x9e3779b97f4a7c15) >> 32 & t.mask
-}
+// minIndex is the smallest dense index allocated, so hint-less callers
+// skip the first few doublings.
+const minIndex = 1024
 
-// find probes for line and returns the bucket index, its value, and
-// whether the key was present. When absent, the returned bucket is the
-// insertion point (valid until the next grow).
-//
-//repro:noalloc
-func (t *lineTable) find(line int64) (bucket int, val int32, found bool) {
-	i := t.hash(line)
-	for {
-		k := t.keys[i]
-		if k == line {
-			return int(i), t.vals[i], true
-		}
-		if k == lineEmpty {
-			return int(i), 0, false
-		}
-		i = (i + 1) & t.mask
+// checkLine panics on a line ID the dense indexes cannot hold. Traces
+// derived from trace.Layout never trigger it, so a violation is a
+// programming error.
+func checkLine(line int64) {
+	if line < 0 {
+		panic(fmt.Sprintf("cachesim: negative line ID %d", line))
+	}
+	if line >= maxLines {
+		panic(fmt.Sprintf("cachesim: line ID %d exceeds the dense index cap of 2^30 lines", line))
 	}
 }
 
@@ -113,16 +79,19 @@ type FastLRU struct {
 	head  []int32 // per-set MRU slot index, -1 while the set is empty
 	tail  []int32 // per-set LRU slot index
 	fill  []int32 // per-set count of valid ways (fills go to slot base+fill)
-	tab   lineTable
+	// where is the dense line index: where[line] is the resident slot
+	// plus one, lineNever, or lineEvicted.
+	where []int32
 	stats Stats
 }
 
 var _ Simulator = (*FastLRU)(nil)
 
-// NewFastLRU builds an empty fast-path cache. sizeHint is the expected
-// number of distinct lines the trace touches (0 is always safe — the
-// line table grows as needed); passing the real footprint makes Access
-// allocation-free from the first touch. Panics on an invalid geometry,
+// NewFastLRU builds an empty fast-path cache. sizeHint is the number of
+// lines the trace's layout spans, i.e. one past the largest line ID (0 is
+// always safe — the index grows by doubling when a larger ID arrives);
+// passing the real span makes Access allocation-free from the first touch.
+// Hints beyond the index cap are clamped. Panics on an invalid geometry,
 // which is always a programming error in this repository.
 func NewFastLRU(cfg Config, sizeHint int64) *FastLRU {
 	if err := cfg.Validate(); err != nil {
@@ -139,7 +108,7 @@ func NewFastLRU(cfg Config, sizeHint int64) *FastLRU {
 		head:  make([]int32, sets),
 		tail:  make([]int32, sets),
 		fill:  make([]int32, sets),
-		tab:   newLineTable(sizeHint),
+		where: make([]int32, min(max(sizeHint, minIndex), maxLines)),
 	}
 	if sets&(sets-1) == 0 {
 		c.mask = sets - 1
@@ -154,6 +123,20 @@ func NewFastLRU(cfg Config, sizeHint int64) *FastLRU {
 	}
 	c.stats.LineBytes = cfg.LineBytes
 	return c
+}
+
+// growIndex makes the dense index cover line, doubling its length until
+// it does (capped at maxLines). It panics on a negative line ID or one at
+// or beyond the cap. New entries are lineNever, the zero value.
+func (c *FastLRU) growIndex(line int64) {
+	checkLine(line)
+	size := int64(len(c.where))
+	for size <= line {
+		size *= 2
+	}
+	grown := make([]int32, min(size, maxLines))
+	copy(grown, c.where)
+	c.where = grown
 }
 
 // setOf maps a line ID to its set: a mask for power-of-two set counts, a
@@ -189,55 +172,6 @@ func (c *FastLRU) moveToFront(set int64, si int32) {
 	c.head[set] = si
 }
 
-// insertLine adds a new key at the bucket returned by find, growing (and
-// re-probing) first if the insert would push the load factor over 3/4,
-// and returns the final bucket for the slot's memo. growTable caps the
-// table below 2^31 buckets, so the int32 conversion cannot wrap.
-func (c *FastLRU) insertLine(bucket int, line int64, val int32) int32 {
-	t := &c.tab
-	if (t.used+1)*4 > len(t.keys)*3 {
-		c.growTable()
-		bucket, _, _ = t.find(line)
-	}
-	t.keys[bucket] = line
-	t.vals[bucket] = val
-	t.used++
-	return int32(bucket)
-}
-
-// growTable doubles the line table and rewrites the bucket memo of every
-// resident slot whose entry moved. Growth stops at 2^30 buckets (a 12 GiB
-// table tracking ≈800M distinct lines — far beyond any trace in this
-// repository) so bucket indices always fit the slots' int32 memo field.
-func (c *FastLRU) growTable() {
-	t := &c.tab
-	old := *t
-	size := len(old.keys) * 2
-	if size > 1<<30 {
-		panic("cachesim: line table exceeds 2^30 buckets")
-	}
-	t.keys = make([]int64, size)
-	t.vals = make([]int32, size)
-	t.mask = uint64(size - 1)
-	for i := range t.keys {
-		t.keys[i] = lineEmpty
-	}
-	for i, k := range old.keys {
-		if k == lineEmpty {
-			continue
-		}
-		j := t.hash(k)
-		for t.keys[j] != lineEmpty {
-			j = (j + 1) & t.mask
-		}
-		t.keys[j] = k
-		t.vals[j] = old.vals[i]
-		if old.vals[i] >= 0 {
-			c.slots[old.vals[i]].bucket = int32(j)
-		}
-	}
-}
-
 // pushFront links a fresh (previously unlinked) slot at the MRU end.
 //
 //repro:noalloc
@@ -254,28 +188,28 @@ func (c *FastLRU) pushFront(set int64, si int32) {
 }
 
 // Access touches one cache line (by line ID, i.e. address / LineBytes) and
-// reports whether it hit. Line IDs must be non-negative; traces derived
-// from trace.Layout always are, so a violation is a programming error.
-// The fast path performs no heap allocation (the line table grows
-// amortized only while new distinct lines keep appearing beyond the
-// construction hint).
+// reports whether it hit. Line IDs must lie in [0, 2^30); traces derived
+// from trace.Layout always do, so a violation panics as a programming
+// error. The fast path performs no heap allocation (the dense index grows
+// by doubling only when a line ID beyond the construction hint arrives).
 //
 //repro:noalloc
 func (c *FastLRU) Access(line int64) bool {
-	if line < 0 {
-		panic("cachesim: negative line ID")
+	if uint64(line) >= uint64(len(c.where)) {
+		c.growIndex(line) // also rejects negative IDs, which wrap high
 	}
 	c.stats.Accesses++
-	bucket, si, known := c.tab.find(line)
-	if known && si >= 0 {
+	v := c.where[line]
+	if v > 0 {
 		c.stats.Hits++
+		si := v - 1
 		s := &c.slots[si]
 		s.reused = true
 		c.moveToFront(int64(s.set), si)
 		return true
 	}
 	c.stats.Misses++
-	if !known {
+	if v == lineNever {
 		c.stats.Compulsory++
 	}
 	set := c.setOf(line)
@@ -288,26 +222,21 @@ func (c *FastLRU) Access(line int64) bool {
 		c.fill[set]++
 		c.pushFront(set, dst)
 	} else {
-		// Evict the set's LRU slot; its bucket memo invalidates the table
-		// entry without a second probe.
+		// Evict the set's LRU slot; its line ID addresses the index entry
+		// to invalidate.
 		dst = c.tail[set]
-		v := &c.slots[dst]
+		victim := &c.slots[dst]
 		c.stats.Evictions++
-		if !v.reused {
+		if !victim.reused {
 			c.stats.DeadFills++
 		}
-		c.tab.vals[v.bucket] = lineEvicted
+		c.where[victim.line] = lineEvicted
 		c.moveToFront(set, dst)
 	}
 	s := &c.slots[dst]
 	s.line = line
 	s.reused = false
-	if known {
-		c.tab.vals[bucket] = dst
-		s.bucket = int32(bucket)
-	} else {
-		s.bucket = c.insertLine(bucket, line, dst)
-	}
+	c.where[line] = dst + 1
 	return false
 }
 

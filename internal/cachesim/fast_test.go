@@ -75,7 +75,7 @@ func TestFastBeladyMatchesReferenceRandom(t *testing.T) {
 }
 
 func TestFastLRUZeroHintGrows(t *testing.T) {
-	// Force several line-table growths past the initial capacity.
+	// Force several dense-index doublings past the initial capacity.
 	c := NewFastLRU(Config{CapacityBytes: 64 * 16 * 64, LineBytes: 64, Ways: 16}, 0)
 	ref := NewLRU(Config{CapacityBytes: 64 * 16 * 64, LineBytes: 64, Ways: 16})
 	for l := int64(0); l < 20000; l++ {
@@ -87,6 +87,56 @@ func TestFastLRUZeroHintGrows(t *testing.T) {
 	if got, want := c.Finalize(), ref.Finalize(); got != want {
 		t.Fatalf("stats diverged after growth: fast %+v reference %+v", got, want)
 	}
+}
+
+func TestFastLRUIndexGrowsMidStream(t *testing.T) {
+	// Small IDs fill the default index, then the stream jumps to 1<<20 so
+	// growIndex runs mid-trace with resident lines that must survive it,
+	// and finally revisits the small IDs (hits and conflict misses).
+	var trace []int64
+	for l := int64(0); l < 3000; l++ {
+		trace = append(trace, l%700)
+	}
+	for l := int64(0); l < 2000; l++ {
+		trace = append(trace, 1<<20+l%300, l%500)
+	}
+	for _, cfg := range diffCfgs {
+		ref := SimulateLRUWith(cfg, ImplReference, replay(trace))
+		fast := SimulateLRUWith(cfg, ImplFast, replay(trace))
+		if ref != fast {
+			t.Fatalf("cfg %+v: stats diverged across index growth: reference %+v fast %+v", cfg, ref, fast)
+		}
+	}
+}
+
+func TestFastLRURejectsOutOfRangeLines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		line int64
+		want string
+	}{
+		{"negative", -1, "cachesim: negative line ID -1"},
+		{"beyond cap", maxLines, "cachesim: line ID 1073741824 exceeds the dense index cap of 2^30 lines"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic = %v, want %q", got, tc.want)
+				}
+			}()
+			c := NewFastLRU(Config{CapacityBytes: 1024, LineBytes: 64, Ways: 2}, 0)
+			c.Access(3)
+			c.Access(tc.line)
+		})
+	}
+	t.Run("belady", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SimulateBeladyTrace accepted a negative line ID")
+			}
+		}()
+		SimulateBeladyTrace(Config{CapacityBytes: 1024, LineBytes: 64, Ways: 2}, RecordTraceChunked(replay([]int64{1, -2}), 2))
+	})
 }
 
 func TestTraceChunkingBoundaries(t *testing.T) {

@@ -60,8 +60,8 @@ func ParseImpl(s string) (Impl, error) {
 }
 
 // NewSimulator builds an empty LRU simulator of the chosen implementation.
-// sizeHint is the expected number of distinct lines (used by the fast
-// path's table pre-size; 0 is always safe).
+// sizeHint is the number of lines the trace's layout spans (it pre-sizes
+// the fast path's dense line index; 0 is always safe).
 func NewSimulator(cfg Config, impl Impl, sizeHint int64) Simulator {
 	if impl == ImplReference {
 		return NewLRU(cfg)

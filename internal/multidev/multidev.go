@@ -161,9 +161,11 @@ func Simulate(cfg Config, ot trace.OwnedTrace) Stats {
 	if k <= 0 {
 		panic(fmt.Sprintf("multidev: Simulate with %d devices", cfg.Devices))
 	}
+	// Home spans the whole layout, so it sizes every device's line index
+	// exactly and no simulator regrows mid-trace.
 	sims := make([]cachesim.Simulator, k)
 	for i := range sims {
-		sims[i] = cachesim.NewSimulator(cfg.L2, cfg.Impl, 0)
+		sims[i] = cachesim.NewSimulator(cfg.L2, cfg.Impl, int64(len(ot.Home)))
 	}
 	out := Stats{Devices: make([]DeviceStats, k)}
 	ot.Trace(func(dev int32, line int64) {

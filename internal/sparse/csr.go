@@ -11,7 +11,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 )
 
 // CSR is a sparse matrix in Compressed Sparse Row format.
@@ -233,6 +233,12 @@ func (m *CSR) Symmetrize() *CSR {
 // of the input appears at (p[i], p[j]) in the result. The permutation maps
 // old IDs to new IDs, which is the convention used by every reordering
 // technique in this repository.
+//
+// It runs in O(n + nnz) time with no comparisons, as a double transpose:
+// the entries are first scattered into buckets keyed by their new column,
+// each recording its new row, and the buckets are then swept in ascending
+// column order appending every entry to its new row, so each output row
+// comes out sorted without a sort.
 func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 	if !m.IsSquare() {
 		panic("sparse: PermuteSymmetric requires a square matrix")
@@ -240,36 +246,53 @@ func (m *CSR) PermuteSymmetric(p Permutation) *CSR {
 	if len(p) != int(m.NumRows) {
 		panic(fmt.Sprintf("sparse: permutation length %d for %d rows", len(p), m.NumRows))
 	}
-	inv := p.Inverse()
+	n := m.NumRows
+	nnz := len(m.ColIndices)
 	out := &CSR{
-		NumRows:    m.NumRows,
-		NumCols:    m.NumCols,
-		RowOffsets: make([]int32, int(m.NumRows)+1),
-		ColIndices: make([]int32, len(m.ColIndices)),
-		Values:     make([]float32, len(m.Values)),
+		NumRows:    n,
+		NumCols:    n,
+		RowOffsets: make([]int32, int(n)+1),
+		ColIndices: make([]int32, nnz),
+		Values:     make([]float32, nnz),
 	}
-	// New row r holds old row inv[r].
-	for newR := int32(0); newR < m.NumRows; newR++ {
-		oldR := inv[newR]
-		out.RowOffsets[newR+1] = out.RowOffsets[newR] + m.RowLen(oldR)
+	// New row p[r] holds old row r; colStart[c+1] counts the entries of
+	// new column c, and both count arrays are then prefix-summed.
+	colStart := make([]int32, int(n)+1)
+	for r := int32(0); r < n; r++ {
+		out.RowOffsets[p[r]+1] = m.RowLen(r)
 	}
-	type colVal struct {
-		c int32
-		v float32
+	for _, c := range m.ColIndices {
+		colStart[p[c]+1]++
 	}
-	var scratch []colVal
-	for newR := int32(0); newR < m.NumRows; newR++ {
-		oldR := inv[newR]
-		cols, vals := m.Row(oldR)
-		scratch = scratch[:0]
-		for k, c := range cols {
-			scratch = append(scratch, colVal{p[c], vals[k]})
+	for i := int32(0); i < n; i++ {
+		out.RowOffsets[i+1] += out.RowOffsets[i]
+		colStart[i+1] += colStart[i]
+	}
+	// Scatter every entry into the bucket of its new column, packed as
+	// new row (high half) and value bits (low half) so each entry costs
+	// one scattered write; colStart[c] advances until it marks the end of
+	// bucket c.
+	bucket := make([]uint64, nnz)
+	for r := int32(0); r < n; r++ {
+		row := uint64(p[r]) << 32
+		for k := m.RowOffsets[r]; k < m.RowOffsets[r+1]; k++ {
+			c := p[m.ColIndices[k]]
+			bucket[colStart[c]] = row | uint64(math.Float32bits(m.Values[k]))
+			colStart[c]++
 		}
-		sort.Slice(scratch, func(a, b int) bool { return scratch[a].c < scratch[b].c })
-		base := out.RowOffsets[newR]
-		for k, cv := range scratch {
-			out.ColIndices[base+int32(k)] = cv.c
-			out.Values[base+int32(k)] = cv.v
+	}
+	// Sweep the buckets in ascending column order and append each entry to
+	// its new row, which therefore fills in sorted column order.
+	rowNext := make([]int32, n)
+	copy(rowNext, out.RowOffsets[:n])
+	k := int32(0)
+	for c := int32(0); c < n; c++ {
+		for ; k < colStart[c]; k++ {
+			r := bucket[k] >> 32
+			dst := rowNext[r]
+			rowNext[r]++
+			out.ColIndices[dst] = c
+			out.Values[dst] = math.Float32frombits(uint32(bucket[k]))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -172,6 +173,116 @@ func TestPermuteSymmetricRoundTrip(t *testing.T) {
 		if !m.Equal(back) {
 			t.Fatalf("trial %d: permute then inverse-permute does not restore matrix", trial)
 		}
+	}
+}
+
+// permuteSymmetricSorted is the comparison-based PermuteSymmetric this
+// package used to ship: gather each new row from its old row, map the
+// columns through p, and sort the row. It is kept as the oracle the
+// linear-time version is checked against.
+func permuteSymmetricSorted(m *CSR, p Permutation) *CSR {
+	inv := p.Inverse()
+	out := &CSR{
+		NumRows:    m.NumRows,
+		NumCols:    m.NumCols,
+		RowOffsets: make([]int32, int(m.NumRows)+1),
+		ColIndices: make([]int32, len(m.ColIndices)),
+		Values:     make([]float32, len(m.Values)),
+	}
+	for newR := int32(0); newR < m.NumRows; newR++ {
+		out.RowOffsets[newR+1] = out.RowOffsets[newR] + m.RowLen(inv[newR])
+	}
+	type colVal struct {
+		c int32
+		v float32
+	}
+	var scratch []colVal
+	for newR := int32(0); newR < m.NumRows; newR++ {
+		cols, vals := m.Row(inv[newR])
+		scratch = scratch[:0]
+		for k, c := range cols {
+			scratch = append(scratch, colVal{p[c], vals[k]})
+		}
+		sort.Slice(scratch, func(a, b int) bool { return scratch[a].c < scratch[b].c })
+		base := out.RowOffsets[newR]
+		for k, cv := range scratch {
+			out.ColIndices[base+int32(k)] = cv.c
+			out.Values[base+int32(k)] = cv.v
+		}
+	}
+	return out
+}
+
+// denseRow returns an n×n matrix whose only nonzeros fill row r.
+func denseRow(n, r int32) *CSR {
+	coo := NewCOO(n, n, int(n))
+	for c := int32(0); c < n; c++ {
+		coo.Add(r, c, float32(c+1))
+	}
+	return coo.ToCSR()
+}
+
+// diagonal returns the n×n diagonal matrix diag(1..n).
+func diagonal(n int32) *CSR {
+	coo := NewCOO(n, n, int(n))
+	for i := int32(0); i < n; i++ {
+		coo.Add(i, i, float32(i+1))
+	}
+	return coo.ToCSR()
+}
+
+// reversal returns the permutation i -> n-1-i.
+func reversal(n int32) Permutation {
+	p := make(Permutation, n)
+	for i := range p {
+		p[i] = n - 1 - int32(i)
+	}
+	return p
+}
+
+func TestPermuteSymmetricMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	emptyRows := NewCOO(6, 6, 2)
+	emptyRows.Add(1, 4, 2)
+	emptyRows.Add(4, 1, 3)
+	cases := []struct {
+		name string
+		m    *CSR
+		p    Permutation
+	}{
+		{"0x0", NewCOO(0, 0, 0).ToCSR(), Permutation{}},
+		{"empty rows", emptyRows.ToCSR(), Permutation{5, 3, 1, 0, 2, 4}},
+		{"all rows empty", NewCOO(4, 4, 0).ToCSR(), reversal(4)},
+		{"single dense row", denseRow(9, 3), randomPerm(rng, 9)},
+		{"single dense row reversed", denseRow(9, 0), reversal(9)},
+		{"diagonal", diagonal(12), randomPerm(rng, 12)},
+		{"identity", randomCSR(t, rng, 40, 3), Identity(40)},
+		{"reversal", randomCSR(t, rng, 40, 3), reversal(40)},
+		{"1x1", diagonal(1), Identity(1)},
+	}
+	for i := 0; i < 10; i++ {
+		n := 1 + rng.Int31n(120)
+		cases = append(cases, struct {
+			name string
+			m    *CSR
+			p    Permutation
+		}{"random", randomCSR(t, rng, n, 1+rng.Intn(8)), randomPerm(rng, n)})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.m.PermuteSymmetric(tc.p)
+			if want := permuteSymmetricSorted(tc.m, tc.p); !got.Equal(want) {
+				t.Fatalf("PermuteSymmetric differs from the sort oracle:\ngot  %+v\nwant %+v", got, want)
+			}
+			for r := int32(0); r < got.NumRows; r++ {
+				cols, _ := got.Row(r)
+				for k := 1; k < len(cols); k++ {
+					if cols[k-1] >= cols[k] {
+						t.Fatalf("row %d columns not strictly ascending: %v", r, cols)
+					}
+				}
+			}
+		})
 	}
 }
 

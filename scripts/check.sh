@@ -83,6 +83,9 @@ go test -run=NONE -fuzz=FuzzReorderHandler -fuzztime=5s ./internal/serve
 echo "==> fuzz smoke: FuzzBinaryCSRRoundTrip (internal/sparse wire format)"
 go test -run=NONE -fuzz=FuzzBinaryCSRRoundTrip -fuzztime=5s ./internal/sparse
 
+echo "==> fuzz smoke: FuzzPermuteSymmetric (internal/sparse linear-time permutation vs sort oracle)"
+go test -run=NONE -fuzz=FuzzPermuteSymmetric -fuzztime=5s ./internal/sparse
+
 echo "==> fuzz smoke: FuzzBobaValidPermutation / FuzzRCMPPValidPermutation (internal/reorder)"
 go test -run=NONE -fuzz=FuzzBobaValidPermutation -fuzztime=5s ./internal/reorder
 go test -run=NONE -fuzz=FuzzRCMPPValidPermutation -fuzztime=5s ./internal/reorder
