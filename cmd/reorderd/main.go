@@ -1,7 +1,7 @@
 // Command reorderd serves matrix reordering over HTTP: clients POST a
 // MatrixMarket body (or reference a generated corpus matrix) to /reorder
 // and get back the permutation plus community-quality metrics. Results are
-// cached by (matrix digest × technique) so repeated requests amortize the
+// stored by (matrix digest × technique) so repeated requests amortize the
 // reordering cost, the regime in which the paper's Figure 9 shows
 // community reordering pays for itself.
 //
@@ -58,13 +58,13 @@ func run() error {
 		addr       = flag.String("addr", ":8377", "listen address")
 		workers    = flag.Int("workers", 0, "reordering worker count (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 64, "job queue depth before 429 load shedding")
-		cacheN     = flag.Int("cache", 256, "result cache entries (matrix digest x technique)")
+		cacheN     = flag.Int("cache", 256, "entries in each digest-keyed LRU: quality stats and advisor features")
 		maxBody    = flag.Int64("max-body-bytes", 64<<20, "maximum upload size before 413")
 		maxRows    = flag.Int("max-rows", 1<<22, "maximum declared rows/cols in an upload")
 		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "cap on per-request compute deadlines")
 		preset     = flag.String("preset", gen.Small.String(), "corpus preset for ?matrix= references (small|full)")
 		orderW     = flag.Int("order-workers", 1, "intra-job goroutines for parallel techniques (results identical at any count)")
-		storeN     = flag.Int("store", 1024, "async job store entries retained for GET /jobs/{id}")
+		storeN     = flag.Int("store", 1024, "job store entries (sync and async results) retained for reuse and GET /jobs/{id}")
 		self       = flag.String("self", "", "this peer's base URL in a sharded deployment (e.g. http://host:8377)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs forming the consistent-hash ring (include -self)")
 		smoke      = flag.Bool("smoke", false, "run an in-process self-test and exit")

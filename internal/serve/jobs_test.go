@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -500,5 +501,131 @@ func TestReorderBinaryUpload(t *testing.T) {
 	}
 	if !mmOut.Cached {
 		t.Fatal("MM upload after binary upload should hit the digest-keyed cache")
+	}
+}
+
+// waitMetric polls /metrics until the series reaches want.
+func waitMetric(t *testing.T, client *http.Client, base, series string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, client, base, series) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never reached %v", series, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSyncJoinsAsyncJob: a sync /reorder for the bytes of an in-flight
+// async job joins that job instead of running a second one, and both
+// paths return the same permutation.
+func TestSyncJoinsAsyncJob(t *testing.T) {
+	checkGoroutines(t)
+	blk := &blockingOrderer{started: make(chan struct{}, 8), release: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Workers: 2, Resolver: blockingResolver(blk)})
+	// Release on every exit so a failed join (a second job parked in
+	// OrderCtx) fails the test instead of hanging the server's teardown.
+	var once sync.Once
+	release := func() { once.Do(func() { close(blk.release) }) }
+	t.Cleanup(release)
+	m := testMatrix(0)
+
+	status, job, raw := postJob(t, ts.Client(), ts.URL+"/jobs?technique=BLOCK&quality=0", binBody(t, m), sparse.BinaryCSRContentType)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, raw)
+	}
+	<-blk.started
+
+	type syncResult struct {
+		status int
+		out    reorderResponse
+		raw    string
+	}
+	got := make(chan syncResult, 1)
+	go func() {
+		status, out, raw := doReorder(t, ts.Client(),
+			reorderURL(ts.URL, map[string]string{"technique": "BLOCK", "quality": "off"}), mmBody(t, m))
+		got <- syncResult{status, out, raw}
+	}()
+	waitMetric(t, ts.Client(), ts.URL, "reorderd_dedup_waits_total", 1)
+	release()
+
+	res := <-got
+	if res.status != http.StatusOK {
+		t.Fatalf("sync reorder: %d %s", res.status, res.raw)
+	}
+	done := awaitJob(t, ts.Client(), ts.URL, job.JobID)
+	if done.Status != jobDone || done.Result == nil {
+		t.Fatalf("async job: %+v", done)
+	}
+	select {
+	case <-blk.started:
+		t.Fatal("cross-path dedup failed: a second job entered OrderCtx")
+	default:
+	}
+	if fmt.Sprint(res.out.Permutation) != fmt.Sprint(done.Result.Permutation) {
+		t.Fatalf("sync and async permutations differ: %v vs %v", res.out.Permutation, done.Result.Permutation)
+	}
+}
+
+// TestSyncTimeoutLeavesPinnedJob: a sync request that joins an async job
+// and times out gets 504, but its departure does not cancel the job the
+// async client holds the ID of.
+func TestSyncTimeoutLeavesPinnedJob(t *testing.T) {
+	checkGoroutines(t)
+	blk := &blockingOrderer{started: make(chan struct{}, 8), release: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Workers: 1, Resolver: blockingResolver(blk)})
+	m := testMatrix(0)
+
+	status, job, raw := postJob(t, ts.Client(), ts.URL+"/jobs?technique=BLOCK&quality=0", binBody(t, m), sparse.BinaryCSRContentType)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, raw)
+	}
+	<-blk.started
+
+	status, _, raw = doReorder(t, ts.Client(), reorderURL(ts.URL, map[string]string{
+		"technique": "BLOCK", "quality": "off", "timeout_ms": "50",
+	}), mmBody(t, m))
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("sync join: status %d, want 504: %s", status, raw)
+	}
+
+	close(blk.release)
+	if out := awaitJob(t, ts.Client(), ts.URL, job.JobID); out.Status != jobDone {
+		t.Fatalf("pinned job after the sync waiter left: %+v", out)
+	}
+}
+
+// TestJobFailedReplacedOnResubmit: a job failed by MaxJobTime stays
+// pollable, but resubmitting it starts a fresh run (202) instead of
+// returning the stale failure as a store hit.
+func TestJobFailedReplacedOnResubmit(t *testing.T) {
+	checkGoroutines(t)
+	blk := &blockingOrderer{started: make(chan struct{}, 8), release: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Workers: 1, MaxJobTime: 50 * time.Millisecond, Resolver: blockingResolver(blk)})
+	u := ts.URL + "/jobs?technique=BLOCK&quality=0"
+	body := binBody(t, testMatrix(0))
+
+	status, job, raw := postJob(t, ts.Client(), u, body, sparse.BinaryCSRContentType)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, raw)
+	}
+	<-blk.started
+	if out := awaitJob(t, ts.Client(), ts.URL, job.JobID); out.Status != jobFailed {
+		t.Fatalf("job under a 50ms MaxJobTime: %+v", out)
+	}
+
+	close(blk.release)
+	status, again, raw := postJob(t, ts.Client(), u, body, sparse.BinaryCSRContentType)
+	if status != http.StatusAccepted || again.StoreHit {
+		t.Fatalf("resubmit after failure: %d %s, want 202 and a fresh run", status, raw)
+	}
+	if out := awaitJob(t, ts.Client(), ts.URL, again.JobID); out.Status != jobDone {
+		t.Fatalf("replacement job: %+v", out)
+	}
+	select {
+	case <-blk.started:
+	default:
+		t.Fatal("resubmit did not run the job again")
 	}
 }

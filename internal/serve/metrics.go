@@ -139,10 +139,10 @@ func (m *metrics) snapshotCounters() (hits, misses int64) {
 	return m.cacheHits, m.cacheMiss
 }
 
-// render writes the exposition text. queueDepth, cacheLen, and storeLen
-// are sampled by the caller at render time (they live in the pool, cache,
-// and job store, not here).
-func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
+// render writes the exposition text. queueDepth and storeLen are sampled
+// by the caller at render time (they live in the pool and the job store,
+// not here).
+func (m *metrics) render(w io.Writer, queueDepth, storeLen int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -166,7 +166,6 @@ func (m *metrics) render(w io.Writer, queueDepth, cacheLen, storeLen int) {
 
 	fmt.Fprintf(w, "reorderd_in_flight %d\n", m.inFlight)
 	fmt.Fprintf(w, "reorderd_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "reorderd_cache_entries %d\n", cacheLen)
 	fmt.Fprintf(w, "reorderd_cache_hits_total %d\n", m.cacheHits)
 	fmt.Fprintf(w, "reorderd_cache_misses_total %d\n", m.cacheMiss)
 	ratio := 0.0

@@ -3,8 +3,9 @@
 // when a permutation is computed once and reused across many SpMV/SpMM
 // invocations; this service is that amortization made operational: a
 // bounded worker pool computes permutations under per-request deadlines,
-// a keyed LRU cache (matrix digest × technique) with singleflight dedup
-// makes every repeat request a cache hit, and queue-depth / request-size
+// a content-addressed job store (matrix digest × technique) dedups
+// concurrent requests and makes every repeat request a hit, whether it
+// arrives on the sync or the async path, and queue-depth / request-size
 // load shedding keeps preprocessing latency under control (the concern
 // Asudeh et al. and the BOBA line of work raise about reordering in
 // production).
@@ -21,7 +22,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,7 +40,8 @@ type Config struct {
 	// QueueDepth bounds jobs admitted but not yet running; submissions
 	// beyond it are shed with 429 (default 64).
 	QueueDepth int
-	// CacheEntries bounds the (digest × technique) result LRU (default 256).
+	// CacheEntries bounds each digest-keyed LRU: community-quality stats
+	// and advisor features (default 256). Results live in the job store.
 	CacheEntries int
 	// MatrixCacheEntries bounds the generated-corpus matrix LRU (default 8).
 	MatrixCacheEntries int
@@ -53,7 +54,7 @@ type Config struct {
 	// MaxEntries likewise bounds the declared entry count (default 1<<26).
 	MaxEntries int
 	// MaxJobTime caps both the client-requested deadline and the compute
-	// budget of a job once all its waiters are gone (default 2m).
+	// budget of every job, counted from its creation (default 2m).
 	MaxJobTime time.Duration
 	// Preset selects the scale of corpus-referenced matrices (default Small).
 	Preset gen.Preset
@@ -63,8 +64,8 @@ type Config struct {
 	// OrderWorkers is the intra-job parallelism handed to techniques that
 	// implement reorder.ParallelOrderer (default 1, the sequential path).
 	// It is independent of Workers, which bounds concurrent jobs; results
-	// are byte-identical at any OrderWorkers value, so the cache never
-	// keys on it.
+	// are byte-identical at any OrderWorkers value, so job IDs never key
+	// on it.
 	OrderWorkers int
 	// Self is this peer's advertised base URL (e.g. "http://10.0.0.1:8377"),
 	// required for sharding: peers compare ring owners against it and stamp
@@ -75,8 +76,9 @@ type Config struct {
 	// every peer sorts the list before building its ring, so all peers
 	// agree on ownership. Empty (or Self empty) means single-node.
 	Peers []string
-	// StoreEntries bounds completed jobs retained by the content-addressed
-	// job store (default 1024). Queued/running jobs are never evicted.
+	// StoreEntries bounds completed jobs, sync and async, retained by the
+	// content-addressed job store (default 1024). Queued/running jobs are
+	// never evicted.
 	StoreEntries int
 	// ForwardClient issues cross-peer forwards (default: a dedicated
 	// http.Client; per-request deadlines come from the inbound request
@@ -154,7 +156,6 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	pool     *workerPool
-	cache    *lruCache // digest|technique → *reorderResult
 	quality  *lruCache // digest → *qualityStats
 	features *lruCache // digest → advisor.Features (technique=auto)
 	matrices *matrixCache
@@ -162,25 +163,10 @@ type Server struct {
 	store    *jobStore
 	ring     *ring // nil in single-node mode (every key is self-owned)
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
 	closed atomic.Bool
 }
 
-// flight is one in-progress (digest × technique) computation. Followers
-// piggyback by incrementing waiters; when the last waiter abandons (its
-// request context fired), the job context is cancelled so the worker stops
-// burning CPU on a result nobody wants.
-type flight struct {
-	done    chan struct{}
-	res     *reorderResult
-	err     error
-	waiters int
-	cancel  context.CancelFunc
-}
-
-// reorderResult is the cached outcome of one job.
+// reorderResult is the stored outcome of one job.
 type reorderResult struct {
 	Perm      sparse.Permutation
 	Rows      int32
@@ -225,6 +211,21 @@ type reorderResponse struct {
 	Advisor     *advisorInfo       `json:"advisor,omitempty"`
 }
 
+// response renders the result as the /reorder body for technique; the
+// caller fills in the per-request fields.
+func (res *reorderResult) response(technique string) reorderResponse {
+	return reorderResponse{
+		Technique:   technique,
+		Rows:        res.Rows,
+		Cols:        res.Cols,
+		NNZ:         res.NNZ,
+		Digest:      res.Digest,
+		ComputeMS:   res.ComputeMS,
+		Permutation: res.Perm,
+		Quality:     res.Quality,
+	}
+}
+
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -232,13 +233,11 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		pool:     newWorkerPool(cfg.Workers, cfg.QueueDepth),
-		cache:    newLRUCache(cfg.CacheEntries),
 		quality:  newLRUCache(cfg.CacheEntries),
 		features: newLRUCache(cfg.CacheEntries),
 		matrices: newMatrixCache(cfg.MatrixCacheEntries),
 		metrics:  newMetrics(),
 		store:    newJobStore(cfg.StoreEntries),
-		flights:  make(map[string]*flight),
 	}
 	if len(cfg.Peers) > 1 {
 		s.ring = newRing(cfg.Self, cfg.Peers)
@@ -305,7 +304,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.render(w, s.pool.depth(), s.cache.len(), s.store.len())
+	s.metrics.render(w, s.pool.depth(), s.store.len())
 }
 
 func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
@@ -318,47 +317,19 @@ func (s *Server) handleTechniques(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"techniques": names, "pseudo": []string{"auto"}})
 }
 
-// handleReorder is the main endpoint: resolve the technique, obtain the
-// matrix (uploaded MatrixMarket body or corpus reference), then serve the
-// permutation from cache or compute it on the worker pool under the
-// request deadline.
+// handleReorder is the synchronous endpoint: parse the request, then
+// create-or-get its job in the store and wait for the result under the
+// request deadline. A completed job is served as a cache hit; an in-flight
+// one (sync or async) is joined rather than recomputed.
 func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
-	if s.closed.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, ErrShuttingDown)
+	req, _, err := s.parseRequest(w, r)
+	if err != nil {
+		s.writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	q := r.URL.Query()
-
-	techName := q.Get("technique")
-	if techName == "" {
-		techName = "RABBIT++"
-	}
-	// technique=auto defers resolution until the matrix is loaded: the
-	// advisor picks the concrete technique from the matrix's features.
-	auto := strings.EqualFold(techName, "auto")
-	var tech reorder.OrdererCtx
-	if !auto {
-		var err error
-		tech, err = s.cfg.Resolver(techName)
-		if err != nil && strings.Contains(techName, " ") {
-			// "+" in a query string decodes to a space and technique names
-			// never contain spaces, so undo the damage for clients that send
-			// technique=RABBIT++ without percent-encoding.
-			fixed := strings.ReplaceAll(techName, " ", "+")
-			if t2, err2 := s.cfg.Resolver(fixed); err2 == nil {
-				tech, err, techName = t2, nil, fixed
-			}
-		}
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-
-	ctx := r.Context()
 	timeout := s.cfg.MaxJobTime
-	if raw := q.Get("timeout_ms"); raw != "" {
+	if raw := r.URL.Query().Get("timeout_ms"); raw != "" {
 		ms, err := strconv.ParseInt(raw, 10, 64)
 		if err != nil || ms <= 0 {
 			s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad timeout_ms %q", raw))
@@ -368,113 +339,158 @@ func (s *Server) handleReorder(w http.ResponseWriter, r *http.Request) {
 			timeout = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	m, matrixName, _, err := s.requestMatrix(w, r)
+	adv, err := s.advise(ctx, req)
 	if err != nil {
-		status := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr), errors.Is(err, sparse.ErrTooLarge):
-			status = http.StatusRequestEntityTooLarge
-			s.metrics.sizeShed()
-		case errors.Is(err, errUnknownMatrix):
-			status = http.StatusNotFound
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-	if !m.IsSquare() {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols))
-		return
-	}
-
-	var adv *advisorInfo
-	if auto {
-		rec, err := s.advise(ctx, m)
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-			case errors.Is(err, context.Canceled):
-				status = http.StatusServiceUnavailable
-			}
-			s.writeError(w, status, err)
-			return
-		}
-		techName = rec.Best()
-		if tech, err = s.cfg.Resolver(techName); err != nil {
-			s.writeError(w, http.StatusInternalServerError,
-				fmt.Errorf("serve: advisor chose unresolvable technique %q: %w", techName, err))
-			return
-		}
-		s.metrics.advisorRecommended(techName)
-		adv = &advisorInfo{Model: rec.Model, Confidence: rec.Confidence, Ranked: rec.Ranked}
-	}
-
-	wantQuality := true
-	switch q.Get("quality") {
-	case "0", "false", "off", "none":
-		wantQuality = false
-	}
-
-	key := m.Digest() + "|" + techName
-	if !wantQuality {
-		key += "|noq"
-	}
-	res, cached, err := s.compute(ctx, key, tech, m, wantQuality)
+	j, joined, err := s.startJob(req, false)
 	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrSaturated):
-			status = http.StatusTooManyRequests
-			s.metrics.queueShed()
-		case errors.Is(err, ErrShuttingDown):
-			status = http.StatusServiceUnavailable
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		case errors.Is(err, context.Canceled):
-			status = http.StatusServiceUnavailable
-		}
-		s.writeError(w, status, err)
+		s.writeErr(w, err, http.StatusInternalServerError)
 		return
 	}
-
-	s.writeJSON(w, http.StatusOK, reorderResponse{
-		Technique:   techName,
-		Matrix:      matrixName,
-		Rows:        res.Rows,
-		Cols:        res.Cols,
-		NNZ:         res.NNZ,
-		Digest:      res.Digest,
-		Cached:      cached,
-		ElapsedMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		ComputeMS:   res.ComputeMS,
-		Permutation: res.Perm,
-		Quality:     res.Quality,
-		Advisor:     adv,
-	})
+	cached := false
+	if joined {
+		select {
+		case <-j.done:
+			cached = true
+			s.metrics.cacheHit()
+		default:
+			s.metrics.cacheMissed()
+			s.metrics.dedupWait()
+		}
+	}
+	res, err := s.store.wait(ctx, j)
+	if err != nil {
+		s.writeErr(w, err, http.StatusInternalServerError)
+		return
+	}
+	resp := res.response(req.technique)
+	resp.Matrix = req.matrix
+	resp.Cached = cached
+	resp.ElapsedMS = float64(time.Since(started)) / float64(time.Millisecond)
+	resp.Advisor = adv
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// advise returns the advisor's recommendation for the matrix, serving the
-// feature vector from the digest-keyed cache when the matrix has been
-// profiled before (the extraction, not the model, is the expensive part).
-func (s *Server) advise(ctx context.Context, m *sparse.CSR) (advisor.Recommendation, error) {
-	digest := m.Digest()
-	if v, ok := s.features.get(digest); ok {
-		return advisor.Recommend(advisor.DefaultModel(), v.(advisor.Features)), nil
+// jobRequest is a parsed reordering request, the part /reorder and
+// POST /jobs share. tech is nil until advise resolves technique=auto.
+type jobRequest struct {
+	tech      reorder.OrdererCtx
+	technique string
+	quality   bool
+	m         *sparse.CSR
+	digest    string
+	matrix    string // corpus name, when the matrix was referenced
+}
+
+// parseRequest resolves the technique and quality flag and loads the
+// matrix (upload or corpus reference), which must be square. The raw
+// upload bytes are returned beside the request so that forwarding can
+// relay them without a job holding on to them.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*jobRequest, []byte, error) {
+	if s.closed.Load() {
+		return nil, nil, ErrShuttingDown
 	}
-	start := time.Now()
-	f, err := advisor.FeaturesCtx(ctx, m)
+	q := r.URL.Query()
+	req := &jobRequest{technique: q.Get("technique"), quality: true}
+	if req.technique == "" {
+		req.technique = "RABBIT++"
+	}
+	switch q.Get("quality") {
+	case "0", "false", "off", "none":
+		req.quality = false
+	}
+	// technique=auto defers resolution until the matrix is loaded: the
+	// advisor picks the concrete technique from the matrix's features.
+	if !strings.EqualFold(req.technique, "auto") {
+		tech, err := s.cfg.Resolver(req.technique)
+		if err != nil && strings.Contains(req.technique, " ") {
+			// "+" in a query string decodes to a space and technique names
+			// never contain spaces, so undo the damage for clients that send
+			// technique=RABBIT++ without percent-encoding.
+			fixed := strings.ReplaceAll(req.technique, " ", "+")
+			if t2, err2 := s.cfg.Resolver(fixed); err2 == nil {
+				tech, err, req.technique = t2, nil, fixed
+			}
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		req.tech = tech
+	}
+	m, name, raw, err := s.requestMatrix(w, r)
 	if err != nil {
-		return advisor.Recommendation{}, err
+		return nil, nil, err
 	}
-	s.metrics.observeFeatures(time.Since(start))
-	s.features.put(digest, f)
-	return advisor.Recommend(advisor.DefaultModel(), f), nil
+	if !m.IsSquare() {
+		return nil, nil, fmt.Errorf("serve: reordering requires a square matrix, got %dx%d", m.NumRows, m.NumCols)
+	}
+	req.m, req.digest, req.matrix = m, m.Digest(), name
+	return req, raw, nil
+}
+
+// errStatus maps a request-path error to its HTTP status; errors it does
+// not classify get fallback (400 while parsing, 500 past it).
+func errStatus(err error, fallback int) int {
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.Is(err, ErrSaturated):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrShuttingDown), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.As(err, &maxErr), errors.Is(err, sparse.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errUnknownMatrix):
+		return http.StatusNotFound
+	}
+	return fallback
+}
+
+// writeErr writes err with its errStatus, counting load shedding.
+func (s *Server) writeErr(w http.ResponseWriter, err error, fallback int) {
+	status := errStatus(err, fallback)
+	switch status {
+	case http.StatusTooManyRequests:
+		s.metrics.queueShed()
+	case http.StatusRequestEntityTooLarge:
+		s.metrics.sizeShed()
+	}
+	s.writeError(w, status, err)
+}
+
+// advise resolves technique=auto on the request (a no-op for a named
+// technique) and returns how the advisor chose. The feature vector is
+// served from the digest-keyed cache when the matrix has been profiled
+// before (the extraction, not the model, is the expensive part).
+func (s *Server) advise(ctx context.Context, req *jobRequest) (*advisorInfo, error) {
+	if req.tech != nil {
+		return nil, nil
+	}
+	v, ok := s.features.get(req.digest)
+	if !ok {
+		start := time.Now()
+		f, err := advisor.FeaturesCtx(ctx, req.m)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.observeFeatures(time.Since(start))
+		s.features.put(req.digest, f)
+		v = f
+	}
+	rec := advisor.Recommend(advisor.DefaultModel(), v.(advisor.Features))
+	tech, err := s.cfg.Resolver(rec.Best())
+	if err != nil {
+		return nil, fmt.Errorf("serve: advisor chose unresolvable technique %q: %w", rec.Best(), err)
+	}
+	req.tech, req.technique = tech, rec.Best()
+	s.metrics.advisorRecommended(req.technique)
+	return &advisorInfo{Model: rec.Model, Confidence: rec.Confidence, Ranked: rec.Ranked}, nil
 }
 
 // errUnknownMatrix marks corpus references that do not resolve, mapped to
@@ -541,90 +557,52 @@ func uploadIsBinary(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(mt), sparse.BinaryCSRContentType)
 }
 
-// compute serves the keyed result: LRU hit, singleflight piggyback on an
-// identical in-flight computation, or a fresh job on the worker pool. The
-// returned bool reports whether the result came from the cache.
-func (s *Server) compute(ctx context.Context, key string, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, bool, error) {
-	if v, ok := s.cache.get(key); ok {
-		s.metrics.cacheHit()
-		return v.(*reorderResult), true, nil
+// startJob is create-or-get on the job store for a resolved request: it
+// joins (or, with pin, pins) the resident job, or installs a fresh one and
+// runs it on the worker pool. The returned bool reports a join. A job shed
+// by the pool is completed as failed, so anyone who joined it in the
+// meantime sees the same error and the next request replaces it.
+func (s *Server) startJob(req *jobRequest, pin bool) (*storedJob, bool, error) {
+	// The job context is detached from any single request: the job runs
+	// while it is pinned or has waiters, bounded by MaxJobTime.
+	//lint:allow ctxflow jobs outlive the submitting request by design; waiter refcount and MaxJobTime bound them
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxJobTime)
+	id := jobID(strings.TrimPrefix(req.digest, "sha256:"), req.technique, req.quality)
+	j, joined := s.store.acquire(id, req.digest, req.technique, req.quality, pin, cancel)
+	if joined {
+		cancel()
+		return j, true, nil
 	}
 	s.metrics.cacheMissed()
-
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		s.flightMu.Unlock()
-		s.metrics.dedupWait()
-		return s.await(ctx, f)
-	}
-	// The job context is detached from any single request: the job keeps
-	// running while at least one waiter remains interested, and is
-	// cancelled when the last one leaves or the compute budget expires.
-	//lint:allow ctxflow the job deliberately outlives the submitting request; refcounted cancel below
-	jobCtx, jobCancel := context.WithTimeout(context.Background(), s.cfg.MaxJobTime)
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: jobCancel}
-	s.flights[key] = f
-	s.flightMu.Unlock()
-
 	err := s.pool.trySubmit(func() {
-		defer jobCancel()
-		res, jobErr := s.runJob(jobCtx, tech, m, wantQuality)
-		if jobErr == nil {
-			s.cache.put(key, res)
-		}
-		s.flightMu.Lock()
-		f.res, f.err = res, jobErr
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
+		defer cancel()
+		s.store.setRunning(j)
+		res, err := s.runJob(ctx, req)
+		s.store.complete(j, res, err)
 	})
 	if err != nil {
-		// Shed: fail this flight so any follower that joined between the
-		// map insert and this failure observes the same error.
-		s.flightMu.Lock()
-		f.err = err
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		jobCancel()
-		close(f.done)
+		cancel()
+		s.store.complete(j, nil, err)
 		return nil, false, err
 	}
-	return s.await(ctx, f)
-}
-
-// await blocks until the flight completes or the request context fires,
-// detaching (and cancelling the job when it was the last waiter) in the
-// latter case.
-func (s *Server) await(ctx context.Context, f *flight) (*reorderResult, bool, error) {
-	select {
-	case <-f.done:
-		return f.res, false, f.err
-	case <-ctx.Done():
-		s.flightMu.Lock()
-		f.waiters--
-		if f.waiters == 0 {
-			f.cancel()
-		}
-		s.flightMu.Unlock()
-		return nil, false, ctx.Err()
-	}
+	return j, false, nil
 }
 
 // runJob executes one reordering on a pool worker: the technique's
 // cancellable ordering, then (unless disabled) the community-quality
 // metrics, which are cached per matrix digest so a technique sweep over
 // one matrix detects communities once.
-func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.CSR, wantQuality bool) (*reorderResult, error) {
+func (s *Server) runJob(ctx context.Context, req *jobRequest) (*reorderResult, error) {
 	start := time.Now()
+	m := req.m
 	var p sparse.Permutation
 	var err error
-	if po, ok := tech.(reorder.ParallelOrderer); ok {
+	if po, ok := req.tech.(reorder.ParallelOrderer); ok {
 		p, err = po.OrderParallelCtx(ctx, m, reorder.Options{Workers: s.cfg.OrderWorkers})
 	} else {
-		p, err = tech.OrderCtx(ctx, m)
+		p, err = req.tech.OrderCtx(ctx, m)
 	}
-	s.metrics.observeJob(tech.Name(), time.Since(start), err != nil)
+	s.metrics.observeJob(req.tech.Name(), time.Since(start), err != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -633,10 +611,10 @@ func (s *Server) runJob(ctx context.Context, tech reorder.OrdererCtx, m *sparse.
 		Rows:      m.NumRows,
 		Cols:      m.NumCols,
 		NNZ:       m.NNZ(),
-		Digest:    m.Digest(),
+		Digest:    req.digest,
 		ComputeMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if wantQuality {
+	if req.quality {
 		qs, err := s.qualityFor(ctx, res.Digest, m)
 		if err != nil {
 			return nil, err

@@ -528,3 +528,27 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz after Close: %d", resp.StatusCode)
 	}
 }
+
+// TestErrStatus pins the one error-to-status mapping both handlers use,
+// wrapped errors included; unclassified errors get the caller's fallback.
+func TestErrStatus(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"saturated", ErrSaturated, http.StatusTooManyRequests},
+		{"shutting down", ErrShuttingDown, http.StatusServiceUnavailable},
+		{"deadline", fmt.Errorf("job: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"canceled", fmt.Errorf("job: %w", context.Canceled), http.StatusServiceUnavailable},
+		{"body too large", &http.MaxBytesError{Limit: 1024}, http.StatusRequestEntityTooLarge},
+		{"declared size too large", fmt.Errorf("upload: %w", sparse.ErrTooLarge), http.StatusRequestEntityTooLarge},
+		{"unknown matrix", fmt.Errorf("%w: %q", errUnknownMatrix, "nope"), http.StatusNotFound},
+		{"unclassified", fmt.Errorf("serve: something else"), http.StatusTeapot},
+	}
+	for _, tc := range cases {
+		if got := errStatus(tc.err, http.StatusTeapot); got != tc.want {
+			t.Errorf("%s: errStatus(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
+		}
+	}
+}
