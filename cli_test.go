@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -241,6 +242,59 @@ func TestCLITruncatedInput(t *testing.T) {
 		}
 		if strings.Contains(string(out), "panic") {
 			t.Fatalf("%s panicked on truncated input:\n%s", tc.name, out)
+		}
+	}
+}
+
+var updateCLI = flag.Bool("update", false, "rewrite the cachesim CLI goldens under testdata/cachesim")
+
+// TestCLICachesimGolden pins cmd/cachesim's rendered tables byte for byte
+// on one corpus matrix: every non-default kernel with -belady, and the
+// multi-device path for each kernel that has an owned trace. The input
+// path in the title is replaced by the file's base name. Regenerate after
+// an intentional modeling change with:
+//
+//	go test . -run TestCLICachesimGolden -update
+func TestCLICachesimGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	dir := t.TempDir()
+	mtxgen := buildTool(t, dir, "mtxgen")
+	cachesimBin := buildTool(t, dir, "cachesim")
+	runTool(t, mtxgen, "-out", dir, "-matrices", "soc-tight-2")
+	mtx := filepath.Join(dir, "soc-tight-2.mtx")
+
+	type run struct {
+		golden string
+		args   []string
+	}
+	var runs []run
+	for _, k := range []string{"spmv-coo", "spmm-4", "spgemm", "spgemm-cluster"} {
+		runs = append(runs, run{k + "-belady", []string{"-kernel", k, "-belady"}})
+	}
+	for _, k := range []string{"spmv-csr", "spmv-coo", "spmm-4", "spgemm"} {
+		runs = append(runs, run{k + "-devices4", []string{"-kernel", k, "-devices", "4", "-partition", "rowblock"}})
+	}
+	for _, r := range runs {
+		args := append([]string{"-in", mtx, "-l2", "32768"}, r.args...)
+		got := strings.ReplaceAll(runTool(t, cachesimBin, args...), mtx, "soc-tight-2.mtx")
+		path := filepath.Join("testdata", "cachesim", r.golden+".txt")
+		if *updateCLI {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (regenerate with -update): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("cachesim %v drifted from %s\n--- got ---\n%s--- want ---\n%s", r.args, path, got, want)
 		}
 	}
 }

@@ -41,7 +41,7 @@ echo "==> simulator differential: fast vs reference, full corpus x all kernels"
 go test -run 'TestDifferential|TestRunnerImplReference' -count=1 ./internal/experiments
 
 echo "==> multi-device differential: K=1 bit-identical to the flat L2 path"
-go test -run 'TestMultiDevFlatIdentity|TestOwnedMatchesUnowned' -count=1 ./internal/experiments ./internal/trace
+go test -run 'TestMultiDevFlatIdentity|TestOwnedMatchesUnowned|TestOwnedStreamDigest' -count=1 ./internal/experiments ./internal/trace
 
 echo "==> SpGEMM differential gate: all execution modes vs the dense int64 oracle"
 go test -run 'TestSpGEMMDifferentialOracle|TestSpGEMMRelabelingInvariance|TestSpGEMMStrategiesBitIdentical' -count=1 ./internal/kernels
