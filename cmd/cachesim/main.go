@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gpumodel"
 	"repro/internal/kernels"
 	"repro/internal/multidev"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/report"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -130,14 +130,17 @@ func run() error {
 
 	// The SpGEMM kinds simulate C = M·M, so they need the product's
 	// symbolic shape: the work totals parameterize the analytic traffic
-	// model and trace bound (all permutation-invariant), and the
-	// per-technique traces need the permuted output row sizes.
+	// model and trace bound, and the per-row output sizes lay out each
+	// technique's trace. All are invariant under symmetric relabeling, so
+	// one pass over m serves every technique (rows permuted along).
+	var rowNNZ []int32
 	if k.Kind == gpumodel.SpGEMMCSR || k.Kind == gpumodel.SpGEMMCSRCluster {
 		info, err := kernels.SpGEMMSymbolic(m, m)
 		if err != nil {
 			return fmt.Errorf("%s kernel: %w", *kernel, err)
 		}
 		k.Work = gpumodel.SpGEMMWork{Flops: info.Flops, NNZB: nnz, NNZC: info.NNZC}
+		rowNNZ = info.RowNNZ
 	}
 
 	cols := []string{"technique", "traffic", "hit-rate", "dead-lines"}
@@ -151,27 +154,6 @@ func run() error {
 	}
 	tb := report.New(title, cols...)
 
-	traceFor := func(pm *sparse.CSR) func(func(int64)) {
-		switch k.Kind {
-		case gpumodel.SpMVCOO:
-			return trace.SpMVCOO(sparse.CSRToCOO(pm), *line)
-		case gpumodel.SpMMCSR:
-			return trace.SpMMCSR(pm, k.K, *line)
-		case gpumodel.SpGEMMCSR, gpumodel.SpGEMMCSRCluster:
-			pinfo, err := kernels.SpGEMMSymbolic(pm, pm)
-			if err != nil {
-				// The square check above already passed; a failure here
-				// would be a programming error, not bad input.
-				panic(err)
-			}
-			if k.Kind == gpumodel.SpGEMMCSRCluster {
-				return trace.SpGEMMCluster(pm, pm, pinfo.RowNNZ, nil, *line)
-			}
-			return trace.SpGEMM(pm, pm, pinfo.RowNNZ, *line)
-		default:
-			return trace.SpMVCSR(pm, *line)
-		}
-	}
 	// ownerFor assigns each row of the reordered matrix to a device.
 	ownerFor := func(pm *sparse.CSR) []int32 {
 		switch *part {
@@ -181,22 +163,6 @@ func run() error {
 			return partition.FromCommunities(core.Rabbit(pm).Communities, int32(*devices))
 		default:
 			return partition.RowBlocks(pm.NumRows, int32(*devices))
-		}
-	}
-	ownedTraceFor := func(pm *sparse.CSR, owner []int32) trace.OwnedTrace {
-		switch k.Kind {
-		case gpumodel.SpMVCOO:
-			return trace.SpMVCOOOwned(sparse.CSRToCOO(pm), owner, *line)
-		case gpumodel.SpMMCSR:
-			return trace.SpMMCSROwned(pm, k.K, owner, *line)
-		case gpumodel.SpGEMMCSR:
-			pinfo, err := kernels.SpGEMMSymbolic(pm, pm)
-			if err != nil {
-				panic(err)
-			}
-			return trace.SpGEMMOwned(pm, pm, pinfo.RowNNZ, owner, *line)
-		default:
-			return trace.SpMVCSROwned(pm, owner, *line)
 		}
 	}
 	// Reorder and simulate the techniques concurrently; rows land in
@@ -218,10 +184,12 @@ func run() error {
 				errs[i] = err
 				return
 			}
-			pm := m.PermuteSymmetric(t.Order(m))
+			p := t.Order(m)
+			pm := m.PermuteSymmetric(p)
+			cRowNNZ := experiments.PermuteRowNNZ(rowNNZ, p)
 			if *devices > 1 {
 				mcfg := multidev.Config{Devices: *devices, L2: cfg.Split(*devices), Impl: simImpl}
-				mds := multidev.Simulate(mcfg, ownedTraceFor(pm, ownerFor(pm)))
+				mds := multidev.Simulate(mcfg, experiments.KernelOwnedTrace(k, pm, cRowNNZ, ownerFor(pm), *line))
 				rows[i] = []string{
 					t.Name(),
 					report.X(gpumodel.NormalizedTraffic(mds.Flat(), k, n, nnz)),
@@ -232,7 +200,8 @@ func run() error {
 				}
 				return
 			}
-			s := cachesim.SimulateLRUWith(cfg, simImpl, traceFor(pm))
+			tf := experiments.KernelTrace(k, pm, cRowNNZ, *line)
+			s := cachesim.SimulateLRUWith(cfg, simImpl, tf)
 			row := []string{
 				t.Name(),
 				report.X(gpumodel.NormalizedTraffic(s, k, n, nnz)),
@@ -241,7 +210,7 @@ func run() error {
 			}
 			if *belady {
 				hint := k.TraceAccessUpperBound(n, nnz, *line)
-				bs := cachesim.SimulateBeladyFunc(cfg, simImpl, traceFor(pm), hint)
+				bs := cachesim.SimulateBeladyFunc(cfg, simImpl, tf, hint)
 				row = append(row, report.X(gpumodel.NormalizedTraffic(bs, k, n, nnz)))
 			}
 			rows[i] = row

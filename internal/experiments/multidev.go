@@ -57,21 +57,20 @@ func (r *Runner) multiDevOwner(md *MatrixData, tech reorder.Technique, pm *spars
 	}
 }
 
-// ownedTraceFor builds the device-attributed reference stream of the
-// kernel over the reordered matrix. Only the kernels the multidev family
-// sweeps have owned generators; the cluster and CSC variants do not.
-func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel, owner []int32) trace.OwnedTrace {
-	pm := md.M.PermuteSymmetric(r.Perm(md, tech))
-	line := r.cfg.Device.L2.LineBytes
+// KernelOwnedTrace returns the device-attributed reference stream of
+// kernel k over pm, with row r of pm executed by owner[r]; cRowNNZ is as
+// for KernelTrace. Only the kernels the multidev family sweeps have owned
+// generators; the cluster and CSC variants do not.
+func KernelOwnedTrace(k gpumodel.Kernel, pm *sparse.CSR, cRowNNZ, owner []int32, lineBytes int64) trace.OwnedTrace {
 	switch k.Kind {
 	case gpumodel.SpMVCSR:
-		return trace.SpMVCSROwned(pm, owner, line)
+		return trace.SpMVCSROwned(pm, owner, lineBytes)
 	case gpumodel.SpMVCOO:
-		return trace.SpMVCOOOwned(sparse.CSRToCOO(pm), owner, line)
+		return trace.SpMVCOOOwned(sparse.CSRToCOO(pm), owner, lineBytes)
 	case gpumodel.SpMMCSR:
-		return trace.SpMMCSROwned(pm, k.K, owner, line)
+		return trace.SpMMCSROwned(pm, k.K, owner, lineBytes)
 	case gpumodel.SpGEMMCSR:
-		return trace.SpGEMMOwned(pm, pm, permuteRowNNZ(md.SpGEMMInfo().RowNNZ, r.Perm(md, tech)), owner, line)
+		return trace.SpGEMMOwned(pm, pm, cRowNNZ, owner, lineBytes)
 	default:
 		panic(fmt.Sprintf("experiments: kernel %s has no owned trace", k.String()))
 	}
@@ -83,38 +82,16 @@ func (r *Runner) ownedTraceFor(md *MatrixData, tech reorder.Technique, k gpumode
 // split K ways (constant silicon), so K=1 is the flat path bit for bit.
 func (r *Runner) SimMultiDev(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel, devices int, part string) multidev.Stats {
 	key := fmt.Sprintf("%s|%s|K%d|%s", tech.Name(), k.String(), devices, part)
-	md.mu.Lock()
-	s, ok := md.mdsims[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|mdev|"+key, func() {
-		md.mu.Lock()
-		_, done := md.mdsims[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
-		pm := md.M.PermuteSymmetric(r.Perm(md, tech))
+	flightKey, unitKey := md.Entry.Name+"|mdev|"+key, "mdev|"+md.Entry.Name+"|"+key
+	return memo(r, &md.mu, md.mdsims, key, flightKey, unitKey, func() multidev.Stats {
+		pm, cRowNNZ := r.permuted(md, tech, k)
 		owner := r.multiDevOwner(md, tech, pm, devices, part)
-		cfg := multidev.Config{
-			Devices: devices,
-			L2:      r.cfg.Device.L2.Split(devices),
-			Impl:    r.cfg.Impl,
-		}
-		s := multidev.Simulate(cfg, r.ownedTraceFor(md, tech, k, owner))
-		r.countUnit("mdev|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.mdsims[key] = s
-		md.mu.Unlock()
+		cfg := multidev.Config{Devices: devices, L2: r.cfg.Device.L2.Split(devices), Impl: r.cfg.Impl}
+		return multidev.Simulate(cfg, KernelOwnedTrace(k, pm, cRowNNZ, owner, r.cfg.Device.L2.LineBytes))
+	}, func(s multidev.Stats) {
 		r.progress("multidev  %-24s %-16s %-12s K=%-3d %s remote=%s", md.Entry.Name, tech.Name(), k.String(),
 			devices, part, report.Pct(s.RemoteFraction()))
 	})
-	md.mu.Lock()
-	s = md.mdsims[key]
-	md.mu.Unlock()
-	return s
 }
 
 // MultiDevTable sweeps the full reorder registry across device counts for

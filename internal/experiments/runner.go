@@ -199,15 +199,9 @@ func (r *Runner) Matrix(name string) (*MatrixData, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.flight.do("matrix|"+name, func() {
-		r.mu.Lock()
-		_, done := r.data[name]
-		r.mu.Unlock()
-		if done {
-			return
-		}
+	return memo(r, &r.mu, r.data, name, "matrix|"+name, "matrix|"+name, func() *MatrixData {
 		m := entry.Generate(r.cfg.Preset)
-		d := &MatrixData{
+		return &MatrixData{
 			Entry:   entry,
 			M:       m,
 			N:       int64(m.NumRows),
@@ -217,16 +211,40 @@ func (r *Runner) Matrix(name string) (*MatrixData, error) {
 			beladys: make(map[string]cachesim.Stats),
 			mdsims:  make(map[string]multidev.Stats),
 		}
-		r.countUnit("matrix|" + name)
-		r.mu.Lock()
-		r.data[name] = d
-		r.mu.Unlock()
+	}, func(d *MatrixData) {
 		r.progress("generated %-24s %8d rows %10d nnz", name, d.N, d.NNZ)
+	}), nil
+}
+
+// memo returns m[key], filling it on first use. Concurrent callers share
+// one fill through the flight group under flightKey; the fill counts as
+// one execution of unitKey, and note (its progress line) runs once the
+// value is stored. mu guards m and is never held across fill.
+func memo[V any](r *Runner, mu *sync.Mutex, m map[string]V, key, flightKey, unitKey string, fill func() V, note func(V)) V {
+	mu.Lock()
+	v, ok := m[key]
+	mu.Unlock()
+	if ok {
+		return v
+	}
+	r.flight.do(flightKey, func() {
+		mu.Lock()
+		_, done := m[key]
+		mu.Unlock()
+		if done {
+			return
+		}
+		v := fill()
+		r.countUnit(unitKey)
+		mu.Lock()
+		m[key] = v
+		mu.Unlock()
+		note(v)
 	})
-	r.mu.Lock()
-	md = r.data[name]
-	r.mu.Unlock()
-	return md, nil
+	mu.Lock()
+	v = m[key]
+	mu.Unlock()
+	return v
 }
 
 func (r *Runner) progress(format string, args ...interface{}) {
@@ -263,19 +281,8 @@ func (r *Runner) UnitCounts() map[string]int {
 // RABBIT-derived techniques share the underlying community detection.
 func (r *Runner) Perm(md *MatrixData, tech reorder.Technique) sparse.Permutation {
 	name := tech.Name()
-	md.mu.Lock()
-	p, ok := md.perms[name]
-	md.mu.Unlock()
-	if ok {
-		return p
-	}
-	r.flight.do(md.Entry.Name+"|perm|"+name, func() {
-		md.mu.Lock()
-		_, done := md.perms[name]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	flightKey, unitKey := md.Entry.Name+"|perm|"+name, "perm|"+md.Entry.Name+"|"+name
+	return memo(r, &md.mu, md.perms, name, flightKey, unitKey, func() sparse.Permutation {
 		var p sparse.Permutation
 		switch t := tech.(type) {
 		case reorder.Rabbit:
@@ -288,47 +295,21 @@ func (r *Runner) Perm(md *MatrixData, tech reorder.Technique) sparse.Permutation
 			p = tech.Order(md.M)
 		}
 		check.AssertPermutation(p)
-		r.countUnit("perm|" + md.Entry.Name + "|" + name)
-		md.mu.Lock()
-		md.perms[name] = p
-		md.mu.Unlock()
-		r.progress("ordered   %-24s %s", md.Entry.Name, name)
-	})
-	md.mu.Lock()
-	p = md.perms[name]
-	md.mu.Unlock()
-	return p
+		return p
+	}, func(sparse.Permutation) { r.progress("ordered   %-24s %s", md.Entry.Name, name) })
 }
 
 // SimLRU simulates the kernel on the reordered matrix through the device
 // L2 with LRU replacement, caching by (technique, kernel).
 func (r *Runner) SimLRU(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) cachesim.Stats {
 	key := tech.Name() + "|" + k.String()
-	md.mu.Lock()
-	s, ok := md.sims[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|lru|"+key, func() {
-		md.mu.Lock()
-		_, done := md.sims[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
-		s := cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k))
-		r.countUnit("lru|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.sims[key] = s
-		md.mu.Unlock()
+	flightKey, unitKey := md.Entry.Name+"|lru|"+key, "lru|"+md.Entry.Name+"|"+key
+	return memo(r, &md.mu, md.sims, key, flightKey, unitKey, func() cachesim.Stats {
+		return cachesim.SimulateLRUWith(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k))
+	}, func(s cachesim.Stats) {
 		r.progress("simulated %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
 			gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ))
 	})
-	md.mu.Lock()
-	s = md.sims[key]
-	md.mu.Unlock()
-	return s
 }
 
 // SimBelady simulates the kernel under Belady-optimal replacement,
@@ -336,52 +317,51 @@ func (r *Runner) SimLRU(md *MatrixData, tech reorder.Technique, k gpumodel.Kerne
 // figures share one trace recording and one simulation per combination.
 func (r *Runner) SimBelady(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) cachesim.Stats {
 	key := tech.Name() + "|" + k.String()
-	md.mu.Lock()
-	s, ok := md.beladys[key]
-	md.mu.Unlock()
-	if ok {
-		return s
-	}
-	r.flight.do(md.Entry.Name+"|belady|"+key, func() {
-		md.mu.Lock()
-		_, done := md.beladys[key]
-		md.mu.Unlock()
-		if done {
-			return
-		}
+	flightKey, unitKey := md.Entry.Name+"|belady|"+key, "belady|"+md.Entry.Name+"|"+key
+	return memo(r, &md.mu, md.beladys, key, flightKey, unitKey, func() cachesim.Stats {
 		hint := k.TraceAccessUpperBound(md.N, md.NNZ, r.cfg.Device.L2.LineBytes)
-		s := cachesim.SimulateBeladyFunc(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k), hint)
-		r.countUnit("belady|" + md.Entry.Name + "|" + key)
-		md.mu.Lock()
-		md.beladys[key] = s
-		md.mu.Unlock()
+		return cachesim.SimulateBeladyFunc(r.cfg.Device.L2, r.cfg.Impl, r.traceFor(md, tech, k), hint)
+	}, func(s cachesim.Stats) {
 		r.progress("belady    %-24s %-16s %-12s traffic=%.2fx", md.Entry.Name, tech.Name(), k.String(),
 			gpumodel.NormalizedTraffic(s, k, md.N, md.NNZ))
 	})
-	md.mu.Lock()
-	s = md.beladys[key]
-	md.mu.Unlock()
-	return s
 }
 
 // traceFor builds the reference stream of the kernel over the reordered
 // matrix.
 func (r *Runner) traceFor(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) func(func(int64)) {
-	pm := md.M.PermuteSymmetric(r.Perm(md, tech))
-	line := r.cfg.Device.L2.LineBytes
+	pm, cRowNNZ := r.permuted(md, tech, k)
+	return KernelTrace(k, pm, cRowNNZ, r.cfg.Device.L2.LineBytes)
+}
+
+// permuted returns the matrix in the technique's order and, for the
+// SpGEMM kinds, the row sizes of C = pm·pm in that order (nil otherwise).
+func (r *Runner) permuted(md *MatrixData, tech reorder.Technique, k gpumodel.Kernel) (*sparse.CSR, []int32) {
+	p := r.Perm(md, tech)
+	var cRowNNZ []int32
+	if k.Kind == gpumodel.SpGEMMCSR || k.Kind == gpumodel.SpGEMMCSRCluster {
+		cRowNNZ = PermuteRowNNZ(md.SpGEMMInfo().RowNNZ, p)
+	}
+	return md.M.PermuteSymmetric(p), cRowNNZ
+}
+
+// KernelTrace returns the reference stream of kernel k over pm, a matrix
+// in the order being simulated. cRowNNZ holds the row sizes of C = pm·pm
+// in that order; only the SpGEMM kinds read it.
+func KernelTrace(k gpumodel.Kernel, pm *sparse.CSR, cRowNNZ []int32, lineBytes int64) func(func(int64)) {
 	switch k.Kind {
 	case gpumodel.SpMVCSR:
-		return trace.SpMVCSR(pm, line)
+		return trace.SpMVCSR(pm, lineBytes)
 	case gpumodel.SpMVCOO:
-		return trace.SpMVCOO(sparse.CSRToCOO(pm), line)
+		return trace.SpMVCOO(sparse.CSRToCOO(pm), lineBytes)
 	case gpumodel.SpMMCSR:
-		return trace.SpMMCSR(pm, k.K, line)
+		return trace.SpMMCSR(pm, k.K, lineBytes)
 	case gpumodel.SpMVCSC:
-		return trace.SpMVCSC(pm, line)
+		return trace.SpMVCSC(pm, lineBytes)
 	case gpumodel.SpGEMMCSR:
-		return trace.SpGEMM(pm, pm, permuteRowNNZ(md.SpGEMMInfo().RowNNZ, r.Perm(md, tech)), line)
+		return trace.SpGEMM(pm, pm, cRowNNZ, lineBytes)
 	case gpumodel.SpGEMMCSRCluster:
-		return trace.SpGEMMCluster(pm, pm, permuteRowNNZ(md.SpGEMMInfo().RowNNZ, r.Perm(md, tech)), nil, line)
+		return trace.SpGEMMCluster(pm, pm, cRowNNZ, nil, lineBytes)
 	default:
 		panic("experiments: unknown kernel")
 	}

@@ -65,9 +65,11 @@ func spgemmWithinBudget(md *MatrixData) bool {
 	return md.SpGEMMInfo().Flops <= SpGEMMMaxAmplification*md.NNZ
 }
 
-// permuteRowNNZ carries per-row symbolic output sizes from the original
-// ordering to the permuted one: row i moves to p[i].
-func permuteRowNNZ(rowNNZ []int32, p sparse.Permutation) []int32 {
+// PermuteRowNNZ carries per-row symbolic output sizes from the original
+// ordering to the permuted one: row i moves to p[i]. Symmetric relabeling
+// preserves each row's output size, so one symbolic pass on the original
+// ordering serves every technique.
+func PermuteRowNNZ(rowNNZ []int32, p sparse.Permutation) []int32 {
 	out := make([]int32, len(rowNNZ))
 	for i, v := range rowNNZ {
 		out[p[i]] = v
@@ -168,7 +170,7 @@ func AblSpGEMMCluster(r *Runner) (*report.Table, error) {
 			sRow := r.SimLRU(md, t, rowK)
 			sClu := r.SimLRU(md, t, cluK)
 			foot := kernels.SpGEMMTileFootprint(
-				permuteRowNNZ(info.RowNNZ, r.Perm(md, t)),
+				PermuteRowNNZ(info.RowNNZ, r.Perm(md, t)),
 				community.Shards(md.M.NumRows))
 			out = append(out, []string{md.Entry.Name, t.Name(),
 				report.X(gpumodel.NormalizedTraffic(sRow, kRow, md.N, md.NNZ)),

@@ -2,10 +2,11 @@
 // (internal/multidev): each kernel's trace is re-emitted as (device, line)
 // pairs, where the device is the compute tile that executes the access —
 // the owner of the outer-loop row driving it — alongside a line→home map
-// classifying which device each cache line's data is homed on. The line
-// sequence of every owned generator is bit-identical to its unowned
-// counterpart (pinned by TestOwnedMatchesUnowned and the corpus-scale
-// K=1 differential in internal/experiments), so a single-device owned
+// classifying which device each cache line's data is homed on. An owned
+// stream runs the flat generator's own loop with a row hook that sets the
+// current device before each row's accesses, so its line sequence is the
+// flat sequence (checked by TestOwnedMatchesUnowned and the corpus-scale
+// K=1 differential in internal/experiments), and a single-device owned
 // simulation reproduces the flat path exactly.
 package trace
 
@@ -32,23 +33,12 @@ type OwnedTrace struct {
 	Home []int32
 }
 
-// ownedStream coalesces sequential accesses to one array exactly like
-// stream (same emit-twice discipline, same per-stream last-line state)
-// while tagging each emission with the executing device.
-type ownedStream struct {
-	last int64
-	emit func(int32, int64)
-}
-
-func newOwnedStream(emit func(int32, int64)) *ownedStream {
-	return &ownedStream{last: -1, emit: emit}
-}
-
-func (s *ownedStream) access(dev int32, line int64) {
-	if line != s.last {
-		s.last = line
-		s.emit(dev, line)
-		s.emit(dev, line)
+// owned drives a kernel loop with a row hook that tags every line with
+// the device owning the row whose work issues it.
+func owned(owner []int32, loop func(emit, hook func(int64))) func(emit func(dev int32, line int64)) {
+	return func(emit func(int32, int64)) {
+		var dev int32
+		loop(func(line int64) { emit(dev, line) }, func(row int64) { dev = owner[row] })
 	}
 }
 
@@ -86,6 +76,29 @@ func (h *homeBuilder) claim(addr, bytes int64, dev int32) {
 	}
 }
 
+// claimRows homes element r of the array at base, bytes wide, on owner[r].
+func (h *homeBuilder) claimRows(base, bytes int64, owner []int32) {
+	for r, dev := range owner {
+		h.claim(base+int64(r)*bytes, bytes, dev)
+	}
+}
+
+// claimCSR homes a CSR matrix's arrays row by row: row r's offset entry
+// and its coords/values slices go to owner[r], the closing offset to the
+// last row's owner. off holds the len(owner)+1 row offsets.
+func claimCSR[T int32 | int64](h *homeBuilder, owner []int32, off []T, roBase, colBase, valBase int64) {
+	h.claimRows(roBase, ElemBytes, owner)
+	if n := len(owner); n > 0 {
+		h.claim(roBase+int64(n)*ElemBytes, ElemBytes, owner[n-1])
+	}
+	for _, base := range []int64{colBase, valBase} {
+		for r, dev := range owner {
+			lo, hi := int64(off[r]), int64(off[r+1])
+			h.claim(base+lo*ElemBytes, (hi-lo)*ElemBytes, dev)
+		}
+	}
+}
+
 // checkOwner validates an owner vector against the expected vertex count.
 func checkOwner(owner []int32, n int32, kernel string) {
 	if len(owner) != int(n) {
@@ -94,162 +107,66 @@ func checkOwner(owner []int32, n int32, kernel string) {
 }
 
 // SpMVCSROwned returns the device-attributed CSR SpMV reference stream:
-// the same line sequence as SpMVCSR, with every access of row r's work
-// tagged owner[r], plus the layout's home map (Y[r], the row-offset
-// entry, and row r's coords/values slices are homed on owner[r]; X[v] on
-// owner[v]). owner must hold one device label per row.
+// SpMVCSR's loop with every access of row r's work tagged owner[r], plus
+// the layout's home map (Y[r], the row-offset entry, and row r's
+// coords/values slices are homed on owner[r]; X[v] on owner[v]). owner
+// must hold one device label per row.
 func SpMVCSROwned(m *sparse.CSR, owner []int32, lineBytes int64) OwnedTrace {
 	checkOwner(owner, m.NumRows, "SpMVCSROwned")
-	n, nnz := int64(m.NumRows), int64(m.NNZ())
-	l := NewLayout(n, nnz, 1, lineBytes)
+	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes)
 	h := newHomeBuilder(l.End, lineBytes)
-	for r := int64(0); r < n; r++ {
-		h.claim(l.Y+r*ElemBytes, ElemBytes, owner[r])
-	}
-	for r := int64(0); r < n; r++ {
-		h.claim(l.RowOff+r*ElemBytes, ElemBytes, owner[r])
-	}
-	if n > 0 {
-		h.claim(l.RowOff+n*ElemBytes, ElemBytes, owner[n-1])
-	}
-	for _, base := range []int64{l.Col, l.Val} {
-		for r := int64(0); r < n; r++ {
-			lo, hi := int64(m.RowOffsets[r]), int64(m.RowOffsets[r+1])
-			h.claim(base+lo*ElemBytes, (hi-lo)*ElemBytes, owner[r])
-		}
-	}
-	for v := int64(0); v < n; v++ {
-		h.claim(l.X+v*ElemBytes, ElemBytes, owner[v])
-	}
-	return OwnedTrace{
-		Home: h.home,
-		Trace: func(emit func(int32, int64)) {
-			roS := newOwnedStream(emit)
-			colS := newOwnedStream(emit)
-			valS := newOwnedStream(emit)
-			yS := newOwnedStream(emit)
-			for row := int64(0); row < n; row++ {
-				dev := owner[row]
-				roS.access(dev, l.line(l.RowOff+row*ElemBytes))
-				roS.access(dev, l.line(l.RowOff+(row+1)*ElemBytes))
-				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
-				for i := start; i < end; i++ {
-					colS.access(dev, l.line(l.Col+i*ElemBytes))
-					valS.access(dev, l.line(l.Val+i*ElemBytes))
-					emit(dev, l.line(l.X+int64(m.ColIndices[i])*ElemBytes))
-				}
-				yS.access(dev, l.line(l.Y+row*ElemBytes))
-			}
-		},
-	}
+	h.claimRows(l.Y, ElemBytes, owner)
+	claimCSR(h, owner, m.RowOffsets, l.RowOff, l.Col, l.Val)
+	h.claimRows(l.X, ElemBytes, owner)
+	return OwnedTrace{Home: h.home, Trace: owned(owner, func(emit, hook func(int64)) {
+		spmvCSR(m, l, emit, hook)
+	})}
 }
 
 // SpMVCOOOwned returns the device-attributed COO SpMV reference stream:
-// the same line sequence as SpMVCOO, with nonzero k's accesses tagged
-// owner[RowIdx[k]]. The triplet arrays are homed per entry with the
-// entry's row owner; X and Y per vertex. owner must hold one device
-// label per row.
+// SpMVCOO's loop with nonzero k's accesses tagged owner[RowIdx[k]]. The
+// triplet arrays are homed per entry with the entry's row owner; X and Y
+// per vertex. owner must hold one device label per row.
 func SpMVCOOOwned(c *sparse.COO, owner []int32, lineBytes int64) OwnedTrace {
 	checkOwner(owner, c.NumRows, "SpMVCOOOwned")
-	n, nnz := int64(c.NumRows), int64(c.NNZ())
-	l := NewLayoutCOO(n, nnz, lineBytes)
+	l := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes)
 	h := newHomeBuilder(l.End, lineBytes)
-	for r := int64(0); r < n; r++ {
-		h.claim(l.Y+r*ElemBytes, ElemBytes, owner[r])
-	}
+	h.claimRows(l.Y, ElemBytes, owner)
 	for _, base := range []int64{l.RowOff, l.Col, l.Val} {
-		for k := int64(0); k < nnz; k++ {
-			h.claim(base+k*ElemBytes, ElemBytes, owner[c.RowIdx[k]])
+		for k, row := range c.RowIdx {
+			h.claim(base+int64(k)*ElemBytes, ElemBytes, owner[row])
 		}
 	}
-	for v := int64(0); v < n; v++ {
-		h.claim(l.X+v*ElemBytes, ElemBytes, owner[v])
-	}
-	return OwnedTrace{
-		Home: h.home,
-		Trace: func(emit func(int32, int64)) {
-			rowS := newOwnedStream(emit)
-			colS := newOwnedStream(emit)
-			valS := newOwnedStream(emit)
-			yS := newOwnedStream(emit)
-			for k := range c.RowIdx {
-				i := int64(k)
-				dev := owner[c.RowIdx[k]]
-				rowS.access(dev, l.line(l.RowOff+i*ElemBytes))
-				colS.access(dev, l.line(l.Col+i*ElemBytes))
-				valS.access(dev, l.line(l.Val+i*ElemBytes))
-				emit(dev, l.line(l.X+int64(c.ColIdx[k])*ElemBytes))
-				yS.access(dev, l.line(l.Y+int64(c.RowIdx[k])*ElemBytes))
-			}
-		},
-	}
+	h.claimRows(l.X, ElemBytes, owner)
+	return OwnedTrace{Home: h.home, Trace: owned(owner, func(emit, hook func(int64)) {
+		spmvCOO(c, l, emit, hook)
+	})}
 }
 
-// SpMMCSROwned returns the device-attributed SpMM reference stream: the
-// same line sequence as SpMMCSR with row r's work tagged owner[r]. The
-// dense C and B rows are homed with their matrix row's owner. owner must
-// hold one device label per row.
+// SpMMCSROwned returns the device-attributed SpMM reference stream:
+// SpMMCSR's loop with row r's work tagged owner[r]. The dense C and B rows
+// are homed with their matrix row's owner. owner must hold one device
+// label per row.
 func SpMMCSROwned(m *sparse.CSR, k int64, owner []int32, lineBytes int64) OwnedTrace {
 	checkOwner(owner, m.NumRows, "SpMMCSROwned")
 	if k < 1 {
 		panic(fmt.Sprintf("trace: SpMM with k = %d", k))
 	}
-	n, nnz := int64(m.NumRows), int64(m.NNZ())
-	l := NewLayout(n, nnz, k, lineBytes)
-	rowBytes := k * ElemBytes
+	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes)
 	h := newHomeBuilder(l.End, lineBytes)
-	for r := int64(0); r < n; r++ {
-		h.claim(l.Y+r*rowBytes, rowBytes, owner[r])
-	}
-	for r := int64(0); r < n; r++ {
-		h.claim(l.RowOff+r*ElemBytes, ElemBytes, owner[r])
-	}
-	if n > 0 {
-		h.claim(l.RowOff+n*ElemBytes, ElemBytes, owner[n-1])
-	}
-	for _, base := range []int64{l.Col, l.Val} {
-		for r := int64(0); r < n; r++ {
-			lo, hi := int64(m.RowOffsets[r]), int64(m.RowOffsets[r+1])
-			h.claim(base+lo*ElemBytes, (hi-lo)*ElemBytes, owner[r])
-		}
-	}
-	for v := int64(0); v < n; v++ {
-		h.claim(l.X+v*rowBytes, rowBytes, owner[v])
-	}
-	return OwnedTrace{
-		Home: h.home,
-		Trace: func(emit func(int32, int64)) {
-			roS := newOwnedStream(emit)
-			colS := newOwnedStream(emit)
-			valS := newOwnedStream(emit)
-			cS := newOwnedStream(emit)
-			for row := int64(0); row < n; row++ {
-				dev := owner[row]
-				roS.access(dev, l.line(l.RowOff+row*ElemBytes))
-				roS.access(dev, l.line(l.RowOff+(row+1)*ElemBytes))
-				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
-				for i := start; i < end; i++ {
-					colS.access(dev, l.line(l.Col+i*ElemBytes))
-					valS.access(dev, l.line(l.Val+i*ElemBytes))
-					bAddr := l.X + int64(m.ColIndices[i])*rowBytes
-					for ln, last := l.line(bAddr), l.line(bAddr+rowBytes-1); ln <= last; ln++ {
-						emit(dev, ln)
-					}
-				}
-				cBase := l.Y + row*rowBytes
-				for ln, last := l.line(cBase), l.line(cBase+rowBytes-1); ln <= last; ln++ {
-					cS.access(dev, ln)
-				}
-			}
-		},
-	}
+	h.claimRows(l.Y, k*ElemBytes, owner)
+	claimCSR(h, owner, m.RowOffsets, l.RowOff, l.Col, l.Val)
+	h.claimRows(l.X, k*ElemBytes, owner)
+	return OwnedTrace{Home: h.home, Trace: owned(owner, func(emit, hook func(int64)) {
+		spmmCSR(m, k, l, emit, hook)
+	})}
 }
 
 // SpGEMMOwned returns the device-attributed row-wise Gustavson SpGEMM
-// reference stream of C = A·B: the same line sequence as SpGEMM, with A
-// row r's work — including its B-row dereferences — tagged owner[r].
-// A's and C's row slices are homed with owner[row]; B's row-offset entry
-// and row slices with owner[k] of the B row they store, so a cross-device
+// reference stream of C = A·B: SpGEMM's loop with A row r's work —
+// including its B-row dereferences — and C row r tagged owner[r]. A's and
+// C's row slices are homed with owner[row]; B's row-offset entry and row
+// slices with owner[k] of the B row they store, so a cross-device
 // A-nonzero turns its B-row fetch into inter-device traffic exactly as a
 // partitioned SpGEMM would. Requires a.NumRows == b.NumRows (the square
 // C = A·A products the experiments run); owner holds one label per row.
@@ -258,82 +175,12 @@ func SpGEMMOwned(a, b *sparse.CSR, cRowNNZ []int32, owner []int32, lineBytes int
 	if a.NumRows != b.NumRows {
 		panic(fmt.Sprintf("trace: SpGEMMOwned with %d A rows but %d B rows", a.NumRows, b.NumRows))
 	}
-	if len(cRowNNZ) != int(a.NumRows) {
-		panic(fmt.Sprintf("trace: SpGEMM with %d C row sizes for %d rows", len(cRowNNZ), a.NumRows))
-	}
-	cOff := make([]int64, int(a.NumRows)+1)
-	for i, nnz := range cRowNNZ {
-		cOff[i+1] = cOff[i] + int64(nnz)
-	}
-	an, bn := int64(a.NumRows), int64(b.NumRows)
-	l := NewSpGEMMLayout(an, int64(a.NNZ()), bn, int64(b.NNZ()), cOff[a.NumRows], lineBytes)
+	l, cOff := spgemmLayout(a, b, cRowNNZ, lineBytes)
 	h := newHomeBuilder(l.End, lineBytes)
-	claimCSR := func(roBase, colBase, valBase int64, m *sparse.CSR) {
-		n := int64(m.NumRows)
-		for r := int64(0); r < n; r++ {
-			h.claim(roBase+r*ElemBytes, ElemBytes, owner[r])
-		}
-		if n > 0 {
-			h.claim(roBase+n*ElemBytes, ElemBytes, owner[n-1])
-		}
-		for _, base := range []int64{colBase, valBase} {
-			for r := int64(0); r < n; r++ {
-				lo, hi := int64(m.RowOffsets[r]), int64(m.RowOffsets[r+1])
-				h.claim(base+lo*ElemBytes, (hi-lo)*ElemBytes, owner[r])
-			}
-		}
-	}
-	claimCSR(l.ARowOff, l.ACol, l.AVal, a)
-	claimCSR(l.BRowOff, l.BCol, l.BVal, b)
-	for r := int64(0); r < an; r++ {
-		h.claim(l.CRowOff+r*ElemBytes, ElemBytes, owner[r])
-	}
-	if an > 0 {
-		h.claim(l.CRowOff+an*ElemBytes, ElemBytes, owner[an-1])
-	}
-	for _, base := range []int64{l.CCol, l.CVal} {
-		for r := int64(0); r < an; r++ {
-			h.claim(base+cOff[r]*ElemBytes, (cOff[r+1]-cOff[r])*ElemBytes, owner[r])
-		}
-	}
-	return OwnedTrace{
-		Home: h.home,
-		Trace: func(emit func(int32, int64)) {
-			aRoS := newOwnedStream(emit)
-			aColS := newOwnedStream(emit)
-			aValS := newOwnedStream(emit)
-			cRoS := newOwnedStream(emit)
-			cColS := newOwnedStream(emit)
-			cValS := newOwnedStream(emit)
-			for row := int32(0); row < a.NumRows; row++ {
-				dev := owner[row]
-				aRoS.access(dev, l.line(l.ARowOff+int64(row)*ElemBytes))
-				aRoS.access(dev, l.line(l.ARowOff+int64(row+1)*ElemBytes))
-				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
-				for i := start; i < end; i++ {
-					aColS.access(dev, l.line(l.ACol+i*ElemBytes))
-					aValS.access(dev, l.line(l.AVal+i*ElemBytes))
-					k := int64(a.ColIndices[i])
-					emit(dev, l.line(l.BRowOff+k*ElemBytes))
-					emit(dev, l.line(l.BRowOff+(k+1)*ElemBytes))
-					bs, be := int64(b.RowOffsets[k]), int64(b.RowOffsets[k+1])
-					if be == bs {
-						continue
-					}
-					for ln, last := l.line(l.BCol+bs*ElemBytes), l.line(l.BCol+be*ElemBytes-1); ln <= last; ln++ {
-						emit(dev, ln)
-					}
-					for ln, last := l.line(l.BVal+bs*ElemBytes), l.line(l.BVal+be*ElemBytes-1); ln <= last; ln++ {
-						emit(dev, ln)
-					}
-				}
-				cRoS.access(dev, l.line(l.CRowOff+int64(row)*ElemBytes))
-				cRoS.access(dev, l.line(l.CRowOff+int64(row+1)*ElemBytes))
-				for i := cOff[row]; i < cOff[row+1]; i++ {
-					cColS.access(dev, l.line(l.CCol+i*ElemBytes))
-					cValS.access(dev, l.line(l.CVal+i*ElemBytes))
-				}
-			}
-		},
-	}
+	claimCSR(h, owner, a.RowOffsets, l.ARowOff, l.ACol, l.AVal)
+	claimCSR(h, owner, b.RowOffsets, l.BRowOff, l.BCol, l.BVal)
+	claimCSR(h, owner, cOff, l.CRowOff, l.CCol, l.CVal)
+	return OwnedTrace{Home: h.home, Trace: owned(owner, func(emit, hook func(int64)) {
+		spgemmStream(a, b, cOff, l, nil, emit, hook)
+	})}
 }

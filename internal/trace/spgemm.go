@@ -59,7 +59,8 @@ func (l SpGEMMLayout) line(addr int64) int64 { return addr / l.LineBytes }
 // size (kernels.SpGEMMSymbolic's RowNNZ), needed to lay out and stream
 // the data-dependent C arrays.
 func SpGEMM(a, b *sparse.CSR, cRowNNZ []int32, lineBytes int64) func(emit func(int64)) {
-	return spgemmStream(a, b, cRowNNZ, nil, lineBytes)
+	l, cOff := spgemmLayout(a, b, cRowNNZ, lineBytes)
+	return func(emit func(int64)) { spgemmStream(a, b, cOff, l, nil, emit, nil) }
 }
 
 // SpGEMMCluster returns the cluster-wise reference stream of C = A·B: the
@@ -72,13 +73,13 @@ func SpGEMMCluster(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, l
 	if tiles == nil {
 		tiles = community.Shards(a.NumRows)
 	}
-	return spgemmStream(a, b, cRowNNZ, tiles, lineBytes)
+	l, cOff := spgemmLayout(a, b, cRowNNZ, lineBytes)
+	return func(emit func(int64)) { spgemmStream(a, b, cOff, l, tiles, emit, nil) }
 }
 
-// spgemmStream is the shared generator: nil tiles means row-wise
-// (every row its own tile, with no dedup state needed because a CSR row's
-// column indices are already distinct).
-func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, lineBytes int64) func(emit func(int64)) {
+// spgemmLayout lays out C = A·B and returns C's row offsets, the prefix
+// sums of the symbolic row sizes.
+func spgemmLayout(a, b *sparse.CSR, cRowNNZ []int32, lineBytes int64) (SpGEMMLayout, []int64) {
 	if len(cRowNNZ) != int(a.NumRows) {
 		panic(fmt.Sprintf("trace: SpGEMM with %d C row sizes for %d rows", len(cRowNNZ), a.NumRows))
 	}
@@ -86,68 +87,79 @@ func spgemmStream(a, b *sparse.CSR, cRowNNZ []int32, tiles []community.Shard, li
 	for i, nnz := range cRowNNZ {
 		cOff[i+1] = cOff[i] + int64(nnz)
 	}
-	l := NewSpGEMMLayout(int64(a.NumRows), int64(a.NNZ()), int64(b.NumRows), int64(b.NNZ()), cOff[a.NumRows], lineBytes)
-	return func(emit func(int64)) {
-		aRoS := newStream(emit)
-		aColS := newStream(emit)
-		aValS := newStream(emit)
-		cRoS := newStream(emit)
-		cColS := newStream(emit)
-		cValS := newStream(emit)
-		// seen[k] == gen marks B row k as already loaded this tile.
-		var seen []int64
-		if tiles != nil {
-			seen = make([]int64, b.NumRows)
-		}
-		tile := func(lo, hi int32, gen int64) {
-			for row := lo; row < hi; row++ {
-				aRoS.access(l.line(l.ARowOff + int64(row)*ElemBytes))
-				aRoS.access(l.line(l.ARowOff + int64(row+1)*ElemBytes))
-				start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
-				for i := start; i < end; i++ {
-					aColS.access(l.line(l.ACol + i*ElemBytes))
-					aValS.access(l.line(l.AVal + i*ElemBytes))
-					k := int64(a.ColIndices[i])
-					// The B row dereference: two offset entries, then the
-					// row's column/value segments if not tile-resident.
-					emit(l.line(l.BRowOff + k*ElemBytes))
-					emit(l.line(l.BRowOff + (k+1)*ElemBytes))
-					if seen != nil {
-						if seen[k] == gen {
-							continue
-						}
-						seen[k] = gen
-					}
-					bs, be := int64(b.RowOffsets[k]), int64(b.RowOffsets[k+1])
-					if be == bs {
+	return NewSpGEMMLayout(int64(a.NumRows), int64(a.NNZ()), int64(b.NumRows), int64(b.NNZ()), cOff[a.NumRows], lineBytes), cOff
+}
+
+// spgemmStream is the one SpGEMM loop: nil tiles means row-wise (every row its
+// own tile, with no dedup state needed because a CSR row's column indices
+// are already distinct). The hook sees each A row before its work and
+// again before its C row streams out.
+func spgemmStream(a, b *sparse.CSR, cOff []int64, l SpGEMMLayout, tiles []community.Shard, emit, hook func(int64)) {
+	aRoS := newStream(emit)
+	aColS := newStream(emit)
+	aValS := newStream(emit)
+	cRoS := newStream(emit)
+	cColS := newStream(emit)
+	cValS := newStream(emit)
+	// seen[k] == gen marks B row k as already loaded this tile.
+	var seen []int64
+	if tiles != nil {
+		seen = make([]int64, b.NumRows)
+	}
+	tile := func(lo, hi int32, gen int64) {
+		for row := lo; row < hi; row++ {
+			if hook != nil {
+				hook(int64(row))
+			}
+			aRoS.access(l.line(l.ARowOff + int64(row)*ElemBytes))
+			aRoS.access(l.line(l.ARowOff + int64(row+1)*ElemBytes))
+			start, end := int64(a.RowOffsets[row]), int64(a.RowOffsets[row+1])
+			for i := start; i < end; i++ {
+				aColS.access(l.line(l.ACol + i*ElemBytes))
+				aValS.access(l.line(l.AVal + i*ElemBytes))
+				k := int64(a.ColIndices[i])
+				// The B row dereference: two offset entries, then the
+				// row's column/value segments if not tile-resident.
+				emit(l.line(l.BRowOff + k*ElemBytes))
+				emit(l.line(l.BRowOff + (k+1)*ElemBytes))
+				if seen != nil {
+					if seen[k] == gen {
 						continue
 					}
-					for ln, last := l.line(l.BCol+bs*ElemBytes), l.line(l.BCol+be*ElemBytes-1); ln <= last; ln++ {
-						emit(ln)
-					}
-					for ln, last := l.line(l.BVal+bs*ElemBytes), l.line(l.BVal+be*ElemBytes-1); ln <= last; ln++ {
-						emit(ln)
-					}
+					seen[k] = gen
 				}
-			}
-			// Tile accumulators spill: the tile's C rows stream out.
-			for row := lo; row < hi; row++ {
-				cRoS.access(l.line(l.CRowOff + int64(row)*ElemBytes))
-				cRoS.access(l.line(l.CRowOff + int64(row+1)*ElemBytes))
-				for i := cOff[row]; i < cOff[row+1]; i++ {
-					cColS.access(l.line(l.CCol + i*ElemBytes))
-					cValS.access(l.line(l.CVal + i*ElemBytes))
+				bs, be := int64(b.RowOffsets[k]), int64(b.RowOffsets[k+1])
+				if be == bs {
+					continue
+				}
+				for ln, last := l.line(l.BCol+bs*ElemBytes), l.line(l.BCol+be*ElemBytes-1); ln <= last; ln++ {
+					emit(ln)
+				}
+				for ln, last := l.line(l.BVal+bs*ElemBytes), l.line(l.BVal+be*ElemBytes-1); ln <= last; ln++ {
+					emit(ln)
 				}
 			}
 		}
-		if tiles == nil {
-			for row := int32(0); row < a.NumRows; row++ {
-				tile(row, row+1, 0)
+		// Tile accumulators spill: the tile's C rows stream out.
+		for row := lo; row < hi; row++ {
+			if hook != nil {
+				hook(int64(row))
 			}
-			return
+			cRoS.access(l.line(l.CRowOff + int64(row)*ElemBytes))
+			cRoS.access(l.line(l.CRowOff + int64(row+1)*ElemBytes))
+			for i := cOff[row]; i < cOff[row+1]; i++ {
+				cColS.access(l.line(l.CCol + i*ElemBytes))
+				cValS.access(l.line(l.CVal + i*ElemBytes))
+			}
 		}
-		for t, tl := range tiles {
-			tile(tl.Lo, tl.Hi, int64(t)+1)
+	}
+	if tiles == nil {
+		for row := int32(0); row < a.NumRows; row++ {
+			tile(row, row+1, 0)
 		}
+		return
+	}
+	for t, tl := range tiles {
+		tile(tl.Lo, tl.Hi, int64(t)+1)
 	}
 }

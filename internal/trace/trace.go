@@ -92,27 +92,48 @@ func (s *stream) access(line int64) {
 	}
 }
 
+// csrStreams are the coalescing streams of one SpMV-CSR executor.
+type csrStreams struct{ ro, col, val, y *stream }
+
+func newCSRStreams(emit func(int64)) csrStreams {
+	return csrStreams{newStream(emit), newStream(emit), newStream(emit), newStream(emit)}
+}
+
+// spmvRow emits one row of Algorithm 1: the row's two offsets, its coords
+// and values, one X dereference per nonzero, and its Y entry.
+func (s csrStreams) spmvRow(m *sparse.CSR, l Layout, row int64, emit func(int64)) {
+	s.ro.access(l.line(l.RowOff + row*ElemBytes))
+	s.ro.access(l.line(l.RowOff + (row+1)*ElemBytes))
+	start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
+	for i := start; i < end; i++ {
+		s.col.access(l.line(l.Col + i*ElemBytes))
+		s.val.access(l.line(l.Val + i*ElemBytes))
+		emit(l.line(l.X + int64(m.ColIndices[i])*ElemBytes))
+	}
+	s.y.access(l.line(l.Y + row*ElemBytes))
+}
+
 // SpMVCSR returns the reference stream of Algorithm 1 over the matrix:
 // rowOffsets, coords, values, and Y stream sequentially; X is dereferenced
 // per nonzero through the column index.
 func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), 1, lineBytes)
-	return func(emit func(int64)) {
-		roS := newStream(emit)
-		colS := newStream(emit)
-		valS := newStream(emit)
-		yS := newStream(emit)
-		for row := int64(0); row < int64(m.NumRows); row++ {
-			roS.access(l.line(l.RowOff + row*ElemBytes))
-			roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
-			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
-			for i := start; i < end; i++ {
-				colS.access(l.line(l.Col + i*ElemBytes))
-				valS.access(l.line(l.Val + i*ElemBytes))
-				emit(l.line(l.X + int64(m.ColIndices[i])*ElemBytes))
-			}
-			yS.access(l.line(l.Y + row*ElemBytes))
+	return func(emit func(int64)) { spmvCSR(m, l, emit, nil) }
+}
+
+// spmvCSR is the SpMV-CSR access loop. Like every kernel loop here, it
+// serves both generator families through a per-row hook: when non-nil,
+// the loop calls it with the matrix row whose work issues the accesses
+// that follow (for COO, the row of each entry) before emitting them. The
+// flat generators pass nil; the owned generators (owned.go) use it to tag
+// every line with that row's device.
+func spmvCSR(m *sparse.CSR, l Layout, emit, hook func(int64)) {
+	s := newCSRStreams(emit)
+	for row := int64(0); row < int64(m.NumRows); row++ {
+		if hook != nil {
+			hook(row)
 		}
+		s.spmvRow(m, l, row, emit)
 	}
 }
 
@@ -121,19 +142,25 @@ func SpMVCSR(m *sparse.CSR, lineBytes int64) func(emit func(int64)) {
 // (streaming when the COO is row-sorted, irregular otherwise).
 func SpMVCOO(c *sparse.COO, lineBytes int64) func(emit func(int64)) {
 	l := NewLayoutCOO(int64(c.NumRows), int64(c.NNZ()), lineBytes)
-	return func(emit func(int64)) {
-		rowS := newStream(emit)
-		colS := newStream(emit)
-		valS := newStream(emit)
-		yS := newStream(emit)
-		for k := range c.RowIdx {
-			i := int64(k)
-			rowS.access(l.line(l.RowOff + i*ElemBytes))
-			colS.access(l.line(l.Col + i*ElemBytes))
-			valS.access(l.line(l.Val + i*ElemBytes))
-			emit(l.line(l.X + int64(c.ColIdx[k])*ElemBytes))
-			yS.access(l.line(l.Y + int64(c.RowIdx[k])*ElemBytes))
+	return func(emit func(int64)) { spmvCOO(c, l, emit, nil) }
+}
+
+// spmvCOO is the SpMV-COO access loop; its hook runs per entry.
+func spmvCOO(c *sparse.COO, l Layout, emit, hook func(int64)) {
+	rowS := newStream(emit)
+	colS := newStream(emit)
+	valS := newStream(emit)
+	yS := newStream(emit)
+	for k, row := range c.RowIdx {
+		i := int64(k)
+		if hook != nil {
+			hook(int64(row))
 		}
+		rowS.access(l.line(l.RowOff + i*ElemBytes))
+		colS.access(l.line(l.Col + i*ElemBytes))
+		valS.access(l.line(l.Val + i*ElemBytes))
+		emit(l.line(l.X + int64(c.ColIdx[k])*ElemBytes))
+		yS.access(l.line(l.Y + int64(row)*ElemBytes))
 	}
 }
 
@@ -146,30 +173,36 @@ func SpMMCSR(m *sparse.CSR, k int64, lineBytes int64) func(emit func(int64)) {
 		panic(fmt.Sprintf("trace: SpMM with k = %d", k))
 	}
 	l := NewLayout(int64(m.NumRows), int64(m.NNZ()), k, lineBytes)
+	return func(emit func(int64)) { spmmCSR(m, k, l, emit, nil) }
+}
+
+// spmmCSR is the SpMM-CSR access loop.
+func spmmCSR(m *sparse.CSR, k int64, l Layout, emit, hook func(int64)) {
 	rowBytes := k * ElemBytes
-	return func(emit func(int64)) {
-		roS := newStream(emit)
-		colS := newStream(emit)
-		valS := newStream(emit)
-		cS := newStream(emit)
-		for row := int64(0); row < int64(m.NumRows); row++ {
-			roS.access(l.line(l.RowOff + row*ElemBytes))
-			roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
-			start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
-			for i := start; i < end; i++ {
-				colS.access(l.line(l.Col + i*ElemBytes))
-				valS.access(l.line(l.Val + i*ElemBytes))
-				// Touch every line spanned by B's k-element row.
-				bAddr := l.X + int64(m.ColIndices[i])*rowBytes
-				for ln, last := l.line(bAddr), l.line(bAddr+rowBytes-1); ln <= last; ln++ {
-					emit(ln)
-				}
+	roS := newStream(emit)
+	colS := newStream(emit)
+	valS := newStream(emit)
+	cS := newStream(emit)
+	for row := int64(0); row < int64(m.NumRows); row++ {
+		if hook != nil {
+			hook(row)
+		}
+		roS.access(l.line(l.RowOff + row*ElemBytes))
+		roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
+		start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
+		for i := start; i < end; i++ {
+			colS.access(l.line(l.Col + i*ElemBytes))
+			valS.access(l.line(l.Val + i*ElemBytes))
+			// Touch every line spanned by B's k-element row.
+			bAddr := l.X + int64(m.ColIndices[i])*rowBytes
+			for ln, last := l.line(bAddr), l.line(bAddr+rowBytes-1); ln <= last; ln++ {
+				emit(ln)
 			}
-			// C row write streams across its spanned lines.
-			cBase := l.Y + row*rowBytes
-			for ln, last := l.line(cBase), l.line(cBase+rowBytes-1); ln <= last; ln++ {
-				cS.access(ln)
-			}
+		}
+		// C row write streams across its spanned lines.
+		cBase := l.Y + row*rowBytes
+		for ln, last := l.line(cBase), l.line(cBase+rowBytes-1); ln <= last; ln++ {
+			cS.access(ln)
 		}
 	}
 }

@@ -19,43 +19,21 @@ func SpMVCSRInterleaved(m *sparse.CSR, lineBytes int64, groups int32) func(emit 
 	return func(emit func(int64)) {
 		// Per-group streams: each group walks its own row subsequence, so
 		// streaming coalescing happens per group, as it would per SM.
-		type cursor struct {
-			row  int64
-			roS  *stream
-			colS *stream
-			valS *stream
-			yS   *stream
-		}
-		cursors := make([]cursor, groups)
-		for g := int32(0); g < groups; g++ {
-			cursors[g] = cursor{
-				row:  int64(g),
-				roS:  newStream(emit),
-				colS: newStream(emit),
-				valS: newStream(emit),
-				yS:   newStream(emit),
-			}
+		rows := make([]int64, groups)
+		streams := make([]csrStreams, groups)
+		for g := range streams {
+			rows[g] = int64(g)
+			streams[g] = newCSRStreams(emit)
 		}
 		n := int64(m.NumRows)
-		remaining := n
-		for remaining > 0 {
-			for g := range cursors {
-				cu := &cursors[g]
-				if cu.row >= n {
+		for remaining := n; remaining > 0; {
+			for g := range streams {
+				if rows[g] >= n {
 					continue
 				}
-				row := cu.row
-				cu.row += int64(groups)
+				streams[g].spmvRow(m, l, rows[g], emit)
+				rows[g] += int64(groups)
 				remaining--
-				cu.roS.access(l.line(l.RowOff + row*ElemBytes))
-				cu.roS.access(l.line(l.RowOff + (row+1)*ElemBytes))
-				start, end := int64(m.RowOffsets[row]), int64(m.RowOffsets[row+1])
-				for i := start; i < end; i++ {
-					cu.colS.access(l.line(l.Col + i*ElemBytes))
-					cu.valS.access(l.line(l.Val + i*ElemBytes))
-					emit(l.line(l.X + int64(m.ColIndices[i])*ElemBytes))
-				}
-				cu.yS.access(l.line(l.Y + row*ElemBytes))
 			}
 		}
 	}
